@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "core/bit_distribution.h"
@@ -15,6 +16,7 @@
 #include "experiments/trace_collector.h"
 #include "netlist/batch_evaluator.h"
 #include "netlist/bitops.h"
+#include "netlist/lane_width.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -125,6 +127,13 @@ std::optional<PredictionRow> decodePredictionRow(const std::string& payload) {
 
 void runCampaignGrid(std::size_t count, const RunOptions& options,
                      const std::function<void(std::size_t)>& task) {
+  // A malformed OISA_FORCE_LANE_WIDTH is one configuration error, not one
+  // failure per cell: resolve it before any cell is claimed.
+  try {
+    (void)netlist::selectLaneWidth();
+  } catch (const std::invalid_argument& e) {
+    throw core::StatusError(core::Status::invalidInput(e.what()));
+  }
   // Pool sized to the cells this slice actually computes (never more
   // workers than owned cells); results are bit-identical at any thread
   // count because every cell owns its seeded workload and simulator.

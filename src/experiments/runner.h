@@ -152,7 +152,8 @@ struct FunctionalScanRow {
 /// makes sharded and unsharded runs byte-identical: the only difference
 /// is which cells the slice owns. Honors the OISA_ABORT_ON_CELL=<cell>
 /// environment hook (deterministic poison-cell crash for quarantine
-/// tests).
+/// tests). A malformed OISA_FORCE_LANE_WIDTH throws one
+/// core::StatusError(InvalidInput) before any cell runs.
 void runCampaignGrid(std::size_t count, const RunOptions& options,
                      const std::function<void(std::size_t)>& task);
 

@@ -306,7 +306,7 @@ class PpsfpEngineT {
 using PpsfpEngine = PpsfpEngineT<netlist::LaneBlock64>;
 
 // Portable widths are instantiated once in ppsfp.cpp (baseline flags);
-// the intrinsic widths live in the per-arch dispatch TUs.
+// the intrinsic widths live in the two ISA TUs (fault/lane_engines_avx*).
 extern template class PpsfpEngineT<netlist::LaneBlock<64>>;
 extern template class PpsfpEngineT<netlist::LaneBlock<256>>;
 extern template class PpsfpEngineT<netlist::LaneBlock<512>>;

@@ -37,21 +37,12 @@ class AnyPpsfpEngine {
 };
 
 /// Builds the engine variant for `sel` (default: selectLaneWidth()).
-/// Throws std::invalid_argument for a variant this build/CPU cannot run.
+/// Throws std::invalid_argument for a (width, arch) pair that is not one
+/// of the five variants or that this build/CPU cannot run.
 [[nodiscard]] std::unique_ptr<AnyPpsfpEngine> makePpsfpEngine(
     std::shared_ptr<const netlist::CompiledNetlist> compiled);
 [[nodiscard]] std::unique_ptr<AnyPpsfpEngine> makePpsfpEngine(
     std::shared_ptr<const netlist::CompiledNetlist> compiled,
     netlist::LaneSelection sel);
-
-namespace detail {
-
-// Per-arch factories, defined in the -mavx2 / -mavx512f dispatch TUs.
-[[nodiscard]] std::unique_ptr<AnyPpsfpEngine> makePpsfpEngineAvx2(
-    std::shared_ptr<const netlist::CompiledNetlist> compiled);
-[[nodiscard]] std::unique_ptr<AnyPpsfpEngine> makePpsfpEngineAvx512(
-    std::shared_ptr<const netlist::CompiledNetlist> compiled);
-
-}  // namespace detail
 
 }  // namespace oisa::fault

@@ -392,8 +392,8 @@ void DecisionTree::accumulateLanes(std::span<const std::uint64_t> featureWords,
   // Lane-mask traversal: each (node, mask) pair splits its lanes by the
   // feature word and follows only populated sides, so one walk serves all
   // 64 lanes. Pending right branches live on a fixed-size explicit stack
-  // sized past any grown tree's depth; pathologically deep trees (only
-  // reachable through setNodes/deserialization) spill into recursion.
+  // sized past any grown tree's depth; a deeper tree would spill into
+  // recursion.
   struct Frame {
     std::uint32_t idx;
     std::uint64_t mask;

@@ -101,7 +101,6 @@ class DecisionTree final : public BinaryClassifier {
   [[nodiscard]] const std::vector<Node>& nodes() const noexcept {
     return nodes_;
   }
-  void setNodes(std::vector<Node> nodes) { nodes_ = std::move(nodes); }
 
  private:
   struct PackedGrowContext;

@@ -59,9 +59,6 @@ class RandomForest final : public BinaryClassifier {
   [[nodiscard]] const std::vector<DecisionTree>& trees() const noexcept {
     return trees_;
   }
-  void setTrees(std::vector<DecisionTree> trees) {
-    trees_ = std::move(trees);
-  }
   [[nodiscard]] bool trained() const noexcept { return !trees_.empty(); }
 
  private:

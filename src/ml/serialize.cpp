@@ -1,16 +1,11 @@
 #include "ml/serialize.h"
 
 #include <bit>
-#include <cctype>
-#include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <iomanip>
-#include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define OISA_HAVE_MMAP 1
@@ -24,197 +19,7 @@
 
 namespace oisa::ml {
 
-namespace {
-
 using core::Status;
-using core::StatusOr;
-
-constexpr std::string_view kMagic = "oisamodel";
-constexpr unsigned kVersion = 1;
-/// Bodies past this are a corrupt length field, not a real model (the
-/// largest forests in this repo serialize to a few MB).
-constexpr std::uint64_t kMaxBodyBytes = 1ull << 30;
-
-// --- body writers (the version-0 text format, unchanged) --------------
-
-void writeTreeBody(const DecisionTree& tree, std::ostream& os) {
-  // Round-trip-exact float formatting for leaf probabilities.
-  os << std::setprecision(std::numeric_limits<float>::max_digits10);
-  os << "tree " << tree.nodes().size() << "\n";
-  for (const DecisionTree::Node& n : tree.nodes()) {
-    os << n.feature << ' ' << n.left << ' ' << n.right << ' '
-       << n.probability << "\n";
-  }
-}
-
-void writeForestBody(const RandomForest& forest, std::ostream& os) {
-  os << "forest " << forest.trees().size() << "\n";
-  for (const DecisionTree& tree : forest.trees()) {
-    writeTreeBody(tree, os);
-  }
-}
-
-// --- body readers (throw std::runtime_error; the envelope layer maps
-// everything that escapes the format to Corruption) -------------------
-
-DecisionTree readTreeBody(std::istream& is) {
-  std::string tag;
-  std::size_t count = 0;
-  if (!(is >> tag >> count) || tag != "tree") {
-    throw std::runtime_error("loadTree: bad header");
-  }
-  // A trained tree always has a root; the fast inference paths rely on
-  // loaded trees being non-empty, so reject it here at the trust boundary.
-  if (count == 0) {
-    throw std::runtime_error("loadTree: empty node list");
-  }
-  std::vector<DecisionTree::Node> nodes(count);
-  for (DecisionTree::Node& n : nodes) {
-    if (!(is >> n.feature >> n.left >> n.right >> n.probability)) {
-      throw std::runtime_error("loadTree: truncated node list");
-    }
-    if (n.feature >= 0 && (n.left >= count || n.right >= count)) {
-      throw std::runtime_error("loadTree: child index out of range");
-    }
-  }
-  DecisionTree tree;
-  tree.setNodes(std::move(nodes));
-  return tree;
-}
-
-RandomForest readForestBody(std::istream& is) {
-  std::string tag;
-  std::size_t count = 0;
-  if (!(is >> tag >> count) || tag != "forest") {
-    throw std::runtime_error("loadForest: bad header");
-  }
-  if (count == 0) {
-    throw std::runtime_error("loadForest: empty forest");
-  }
-  std::vector<DecisionTree> trees;
-  trees.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    trees.push_back(readTreeBody(is));
-  }
-  RandomForest forest;
-  forest.setTrees(std::move(trees));
-  return forest;
-}
-
-// --- envelope ---------------------------------------------------------
-
-void writeEnvelope(std::ostream& os, const std::string& body) {
-  std::ostringstream crcHex;
-  crcHex << std::hex << std::setw(8) << std::setfill('0')
-         << core::crc32(body);
-  os << kMagic << ' ' << kVersion << ' ' << body.size() << ' '
-     << crcHex.str() << '\n'
-     << body;
-}
-
-StatusOr<std::string> readEnvelope(std::istream& is) {
-  std::string magic;
-  unsigned version = 0;
-  std::uint64_t bytes = 0;
-  std::string crcHex;
-  if (!(is >> magic)) {
-    return Status::corruption("model envelope: missing magic");
-  }
-  if (magic != kMagic) {
-    return Status::corruption("model envelope: bad magic '" + magic + "'");
-  }
-  if (!(is >> version >> bytes >> crcHex)) {
-    return Status::corruption("model envelope: malformed header");
-  }
-  if (version != kVersion) {
-    return Status::corruption("model envelope: unsupported version " +
-                              std::to_string(version));
-  }
-  if (bytes > kMaxBodyBytes) {
-    return Status::corruption("model envelope: absurd body size " +
-                              std::to_string(bytes));
-  }
-  if (is.get() != '\n') {
-    return Status::corruption("model envelope: missing body separator");
-  }
-  std::string body(bytes, '\0');
-  is.read(body.data(), static_cast<std::streamsize>(bytes));
-  if (static_cast<std::uint64_t>(is.gcount()) != bytes) {
-    return Status::corruption("model envelope: body truncated (" +
-                              std::to_string(is.gcount()) + " of " +
-                              std::to_string(bytes) + " bytes)");
-  }
-  std::uint32_t expected = 0;
-  if (crcHex.size() != 8) {
-    return Status::corruption("model envelope: malformed checksum field");
-  }
-  for (const char c : crcHex) {
-    // Strictly the writer's lowercase spelling: a case-insensitive parse
-    // would let single-bit flips of hex letters through undetected.
-    const bool digit = c >= '0' && c <= '9';
-    const bool lower = c >= 'a' && c <= 'f';
-    if (!digit && !lower) {
-      return Status::corruption("model envelope: malformed checksum field");
-    }
-    expected = expected * 16 +
-               static_cast<std::uint32_t>(digit ? c - '0' : c - 'a' + 10);
-  }
-  if (core::crc32(body) != expected) {
-    return Status::corruption("model envelope: checksum mismatch");
-  }
-  return body;
-}
-
-template <typename T, typename BodyReader>
-StatusOr<T> readModel(std::istream& is, BodyReader readBody) {
-  StatusOr<std::string> body = readEnvelope(is);
-  if (!body.isOk()) return body.status();
-  std::istringstream bodyStream(body.value());
-  try {
-    T model = readBody(bodyStream);
-    // A body that checksummed but has bytes past the parsed model means
-    // the writer and reader disagree — reject rather than drop data.
-    std::string rest;
-    if (bodyStream >> rest) {
-      return Status::corruption("model body: trailing data '" + rest + "'");
-    }
-    return model;
-  } catch (const std::exception& e) {
-    return Status::corruption(std::string("model body: ") + e.what());
-  }
-}
-
-}  // namespace
-
-void saveTree(const DecisionTree& tree, std::ostream& os) {
-  std::ostringstream body;
-  writeTreeBody(tree, body);
-  writeEnvelope(os, body.str());
-}
-
-void saveForest(const RandomForest& forest, std::ostream& os) {
-  std::ostringstream body;
-  writeForestBody(forest, body);
-  writeEnvelope(os, body.str());
-}
-
-StatusOr<DecisionTree> readTree(std::istream& is) {
-  return readModel<DecisionTree>(is, readTreeBody);
-}
-
-StatusOr<RandomForest> readForest(std::istream& is) {
-  return readModel<RandomForest>(is, readForestBody);
-}
-
-DecisionTree loadTree(std::istream& is) {
-  return readTree(is).valueOrThrow();
-}
-
-RandomForest loadForest(std::istream& is) {
-  return readForest(is).valueOrThrow();
-}
-
-// --- binary envelope v2: flat forest banks ---------------------------
 
 namespace {
 

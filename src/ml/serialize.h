@@ -1,30 +1,15 @@
-// oisa_ml: serialization of trained models.
+// oisa_ml: the persisted model format — binary envelope v2 for flat
+// forest banks (flat_forest.h).
 //
-// Two envelopes, one integrity policy (flipping any byte of a saved
-// model makes loading fail with StatusCode::Corruption):
-//
-// v1 — text. Line-oriented bodies (human-diffable, as before) wrapped
-// in an integrity envelope so trained timing-error models can be saved
-// next to a synthesized design and reloaded without retraining — and so
-// a rotted or truncated model file is *detected*, never silently
-// half-loaded:
-//
-//   oisamodel <version> <bodyBytes> <crc32-hex>\n
-//   <body: "tree N" / "forest N" lines exactly as version 0 wrote them>
-//
-// The loader verifies magic, version, exact body length and CRC-32
-// before parsing a single node. Multiple envelopes concatenate cleanly
-// on one stream (the bit-level predictor used to store one forest per
-// output bit that way).
-//
-// v2 — binary, for flat forest banks (flat_forest.h). The serving
-// format: a 64-byte little-endian header (magic "OISAFB2\n", version,
+// A 64-byte little-endian header (magic "OISAFB2\n", version,
 // featureCount, two application meta words, section counts, total file
 // size, whole-file CRC-32) followed by the six 8-byte-aligned
 // structure-of-arrays sections exactly as FlatForestBank holds them in
 // memory. Loading is mmap (or one read) + header/CRC check +
 // validateFlatBank — zero per-node parsing; the spans of the returned
-// view point straight into the file bytes.
+// view point straight into the file bytes. Flipping any byte of a saved
+// bank, or truncating it anywhere, makes loading fail with
+// StatusCode::Corruption.
 #pragma once
 
 #include <cstdint>
@@ -33,27 +18,9 @@
 #include <string>
 
 #include "core/status.h"
-#include "ml/decision_tree.h"
 #include "ml/flat_forest.h"
-#include "ml/random_forest.h"
 
 namespace oisa::ml {
-
-void saveTree(const DecisionTree& tree, std::ostream& os);
-void saveForest(const RandomForest& forest, std::ostream& os);
-
-/// Status-returning loaders: Corruption for any integrity failure
-/// (bad magic/version, truncation, checksum mismatch, malformed or
-/// out-of-range node data), IoError for stream read failures.
-[[nodiscard]] core::StatusOr<DecisionTree> readTree(std::istream& is);
-[[nodiscard]] core::StatusOr<RandomForest> readForest(std::istream& is);
-
-/// Throwing convenience wrappers (raise core::StatusError, which is-a
-/// std::runtime_error, so pre-Status callers keep working unchanged).
-[[nodiscard]] DecisionTree loadTree(std::istream& is);
-[[nodiscard]] RandomForest loadForest(std::istream& is);
-
-// --- binary envelope v2: flat forest banks ---------------------------
 
 /// The complete v2 file image for `bank` as a byte string: header
 /// (CRC-32 over every byte of the file with the checksum field zeroed)

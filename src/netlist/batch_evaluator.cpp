@@ -19,8 +19,8 @@ std::shared_ptr<const CompiledNetlist> requireAcyclicBatch(
 
 // The reference width plus the portable wide fallbacks used by the runtime
 // dispatcher on machines without the matching vector ISA. The intrinsic
-// widths are instantiated only in the per-arch dispatch TUs
-// (lane_simd_avx2.cpp / lane_simd_avx512.cpp).
+// widths are instantiated only in the two ISA TUs
+// (fault/lane_engines_avx2.cpp / fault/lane_engines_avx512.cpp).
 template class BatchEvaluatorT<LaneBlock<64>>;
 template class BatchEvaluatorT<LaneBlock<256>>;
 template class BatchEvaluatorT<LaneBlock<512>>;

@@ -16,12 +16,12 @@
 //    for any W and the only variant normal translation units may
 //    instantiate. The 64-bit portable block is the canonical reference.
 //  * LaneArch::Avx2 — W=256 as one __m256i; defined only when the
-//    including TU is compiled with -mavx2 (the dedicated dispatch TUs).
+//    including TU is compiled with -mavx2 (the dedicated ISA TU).
 //  * LaneArch::Avx512 — W=512 as one __m512i; defined only under
 //    -mavx512f, likewise.
 //
 // The intrinsic specializations are deliberately invisible elsewhere:
-// only the per-arch instantiation TUs (e.g. lane_simd_avx2.cpp) name
+// only the two ISA TUs (fault/lane_engines_avx2.cpp, ..._avx512.cpp) name
 // them, so no AVX code can leak into objects that must run on
 // x86-64-v2-only hosts. Runtime selection lives in netlist/lane_width.h.
 #pragma once
@@ -118,7 +118,7 @@ struct LaneBlock {
 };
 
 #if defined(__AVX2__)
-/// 256-lane block as one AVX2 vector. Only the -mavx2 dispatch TUs may
+/// 256-lane block as one AVX2 vector. Only the -mavx2 ISA TU may
 /// name this type.
 template <>
 struct LaneBlock<256, LaneArch::Avx2> {
@@ -178,7 +178,7 @@ struct LaneBlock<256, LaneArch::Avx2> {
 #endif  // __AVX2__
 
 #if defined(__AVX512F__)
-/// 512-lane block as one AVX-512 vector. Only the -mavx512f dispatch TUs
+/// 512-lane block as one AVX-512 vector. Only the -mavx512f ISA TU
 /// may name this type.
 template <>
 struct LaneBlock<512, LaneArch::Avx512> {

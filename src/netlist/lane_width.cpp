@@ -3,8 +3,6 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "netlist/lane_width_impl.h"
-
 namespace oisa::netlist {
 
 std::string laneSelectionName(LaneSelection sel) {
@@ -86,53 +84,6 @@ LaneSelection selectLaneWidth() {
     return parseLaneWidthSpec(spec);
   }
   return defaultLaneSelection();
-}
-
-std::unique_ptr<AnyBatchEvaluator> makeBatchEvaluator(
-    std::shared_ptr<const CompiledNetlist> compiled) {
-  return makeBatchEvaluator(std::move(compiled), selectLaneWidth());
-}
-
-std::unique_ptr<AnyBatchEvaluator> makeBatchEvaluator(
-    std::shared_ptr<const CompiledNetlist> compiled, LaneSelection sel) {
-  if (sel.arch != LaneArch::Portable && !cpuSupportsLaneArch(sel.arch)) {
-    throw std::invalid_argument("makeBatchEvaluator: variant " +
-                                laneSelectionName(sel) +
-                                " is not runnable on this build/CPU");
-  }
-  switch (sel.arch) {
-    case LaneArch::Avx2:
-#if defined(OISA_HAVE_AVX2)
-      return detail::makeBatchEvaluatorAvx2(std::move(compiled));
-#else
-      break;
-#endif
-    case LaneArch::Avx512:
-#if defined(OISA_HAVE_AVX512)
-      return detail::makeBatchEvaluatorAvx512(std::move(compiled));
-#else
-      break;
-#endif
-    case LaneArch::Portable:
-      switch (sel.width) {
-        case 64:
-          return std::make_unique<
-              detail::BatchEvaluatorAdapter<LaneBlock<64>>>(
-              std::move(compiled));
-        case 256:
-          return std::make_unique<
-              detail::BatchEvaluatorAdapter<LaneBlock<256>>>(
-              std::move(compiled));
-        case 512:
-          return std::make_unique<
-              detail::BatchEvaluatorAdapter<LaneBlock<512>>>(
-              std::move(compiled));
-        default: break;
-      }
-      break;
-  }
-  throw std::invalid_argument("makeBatchEvaluator: unsupported variant " +
-                              laneSelectionName(sel));
 }
 
 }  // namespace oisa::netlist

@@ -15,9 +15,10 @@
 //
 // AnyBatchEvaluator is the width-erased evaluator the experiment layer
 // holds; the timing and fault layers have matching Any* interfaces
-// (timing/lane_dispatch.h, fault/ppsfp_dispatch.h). All erased APIs speak
-// flat uint64 spans with wordsPerNet() words per net, so the 64-lane data
-// layout generalizes by a stride, not a new format.
+// (timing/lane_dispatch.h, fault/ppsfp_dispatch.h), and one dispatcher in
+// oisa_fault (fault/lane_engines.cpp) builds all three. All erased APIs
+// speak flat uint64 spans with wordsPerNet() words per net, so the 64-lane
+// data layout generalizes by a stride, not a new format.
 #pragma once
 
 #include <cstdint>
@@ -94,23 +95,12 @@ class AnyBatchEvaluator {
 };
 
 /// Builds the evaluator variant for `sel` (default: selectLaneWidth()).
-/// Throws std::invalid_argument for a variant this build/CPU cannot run.
+/// Throws std::invalid_argument for a (width, arch) pair that is not one
+/// of the five variants or that this build/CPU cannot run. Defined in
+/// oisa_fault (fault/lane_engines.cpp) with the other two lane factories.
 [[nodiscard]] std::unique_ptr<AnyBatchEvaluator> makeBatchEvaluator(
     std::shared_ptr<const CompiledNetlist> compiled);
 [[nodiscard]] std::unique_ptr<AnyBatchEvaluator> makeBatchEvaluator(
     std::shared_ptr<const CompiledNetlist> compiled, LaneSelection sel);
-
-namespace detail {
-
-// Implemented in the per-arch dispatch TUs (the only objects compiled with
-// -mavx2 / -mavx512f). Declared unconditionally; defined only when CMake
-// detected the flags (OISA_HAVE_AVX2 / OISA_HAVE_AVX512), and called only
-// after a cpuSupportsLaneArch() check.
-[[nodiscard]] std::unique_ptr<AnyBatchEvaluator> makeBatchEvaluatorAvx2(
-    std::shared_ptr<const CompiledNetlist> compiled);
-[[nodiscard]] std::unique_ptr<AnyBatchEvaluator> makeBatchEvaluatorAvx512(
-    std::shared_ptr<const CompiledNetlist> compiled);
-
-}  // namespace detail
 
 }  // namespace oisa::netlist

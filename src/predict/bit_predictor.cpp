@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 #include "ml/importance.h"
@@ -136,72 +134,6 @@ std::vector<double> BitLevelPredictor::featureImportance() const {
     for (double& v : total) v /= sum;
   }
   return total;
-}
-
-core::Status BitLevelPredictor::write(std::ostream& os) const {
-  if (!trained_ || params_.model != ModelKind::RandomForest) {
-    return Status::invalidInput(
-        "BitLevelPredictor::write: only trained RandomForest banks persist");
-  }
-  if (forests_.empty()) {
-    return Status::invalidInput(
-        "BitLevelPredictor::write: flat-loaded bank carries no pointer "
-        "forests (use saveFlat)");
-  }
-  os << "bitpredictor " << extractor_.width() << ' '
-     << (params_.includeOutputBits ? 1 : 0) << ' ' << forests_.size()
-     << "\n";
-  for (const ml::RandomForest& forest : forests_) {
-    ml::saveForest(forest, os);
-  }
-  if (!os) {
-    return Status::ioError("BitLevelPredictor::write: stream write failed");
-  }
-  return Status::ok();
-}
-
-void BitLevelPredictor::save(std::ostream& os) const {
-  if (!trained_ || params_.model != ModelKind::RandomForest ||
-      forests_.empty()) {
-    throw std::logic_error(
-        "BitLevelPredictor::save: only trained RandomForest banks persist");
-  }
-  core::throwIfError(write(os));
-}
-
-core::StatusOr<BitLevelPredictor> BitLevelPredictor::read(std::istream& is) {
-  std::string tag;
-  int width = 0;
-  int includeOutputBits = 0;
-  std::size_t banks = 0;
-  if (!(is >> tag >> width >> includeOutputBits >> banks) ||
-      tag != "bitpredictor") {
-    return Status::corruption("BitLevelPredictor::read: bad header");
-  }
-  if (width < 1 || width > 63) {
-    return Status::corruption("BitLevelPredictor::read: width " +
-                              std::to_string(width) + " out of range");
-  }
-  PredictorParams params;
-  params.model = ModelKind::RandomForest;
-  params.includeOutputBits = includeOutputBits != 0;
-  BitLevelPredictor predictor(width, params);
-  if (banks != static_cast<std::size_t>(width) + 1) {
-    return Status::corruption("BitLevelPredictor::read: bank count mismatch");
-  }
-  predictor.forests_.reserve(banks);
-  for (std::size_t i = 0; i < banks; ++i) {
-    StatusOr<ml::RandomForest> forest = ml::readForest(is);
-    if (!forest.isOk()) return forest.status();
-    predictor.forests_.push_back(std::move(forest).value());
-  }
-  predictor.trained_ = true;
-  predictor.buildFlatBank();
-  return predictor;
-}
-
-BitLevelPredictor BitLevelPredictor::load(std::istream& is) {
-  return read(is).valueOrThrow();
 }
 
 core::Status BitLevelPredictor::saveFlat(const std::string& path) const {

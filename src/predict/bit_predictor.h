@@ -21,13 +21,12 @@
 // arrays. predictFlipsBlock scores up to 64 record pairs per call with
 // zero allocation: one packBlock column extraction shared by all output
 // bits, one lane-masked flat walk per bit, one 64x64 transpose back to
-// per-lane flip masks. Banks persist either as the text format (v1,
-// pointer forests, human-diffable) or the binary flat envelope v2
-// (saveFlat/loadFlat), which mmaps straight into the inference arrays.
+// per-lane flip masks. Banks persist as the binary flat envelope v2
+// (saveFlat/loadFlat, ml/serialize.h), which mmaps straight into the
+// inference arrays.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <string>
@@ -143,34 +142,18 @@ class BitLevelPredictor {
   /// and DecisionTree kinds; all-zero for Majority). Normalized to sum 1.
   [[nodiscard]] std::vector<double> featureImportance() const;
 
-  /// Persists a trained RandomForest-kind predictor (text format v1).
-  /// InvalidInput for other model kinds, untrained banks, or flat-loaded
-  /// banks (which carry no pointer forests — use saveFlat); IoError when
-  /// the stream fails.
-  [[nodiscard]] core::Status write(std::ostream& os) const;
-
-  /// Status-returning loader for the text format: Corruption for any
-  /// malformed or integrity-failing input, IoError for stream failures.
-  [[nodiscard]] static core::StatusOr<BitLevelPredictor> read(
-      std::istream& is);
-
-  /// Throwing wrappers around write()/read(), preserving the pre-Status
-  /// contract: save() throws std::logic_error on non-persistable banks,
-  /// load() throws core::StatusError (is-a std::runtime_error).
-  void save(std::ostream& os) const;
-  [[nodiscard]] static BitLevelPredictor load(std::istream& is);
-
   /// Persists the flat bank as binary envelope v2 (serialize.h), the
   /// serving/design-cache format: width and feature configuration ride in
   /// the header meta words, the node arrays are the file body.
-  /// InvalidInput unless trained RandomForest kind.
+  /// InvalidInput unless trained RandomForest kind; IoError when the file
+  /// cannot be written.
   [[nodiscard]] core::Status saveFlat(const std::string& path) const;
 
   /// Loads a saveFlat() file by mmap (one read fallback): header + CRC +
   /// structural validation, zero per-node parsing. The result serves
   /// predictFlips/predictFlipsBlock/evaluate straight off the mapped
-  /// arrays; it carries no pointer forests (write()/save() and
-  /// featureImportance() are unavailable).
+  /// arrays; it carries no pointer forests (featureImportance() and
+  /// predictFlipsReference() are unavailable).
   [[nodiscard]] static core::StatusOr<BitLevelPredictor> loadFlat(
       const std::string& path);
 
@@ -193,7 +176,7 @@ class BitLevelPredictor {
       std::span<double> probabilities, const ml::FlatBankView& flat) const;
   /// Checks that `packed` matches this bank's extractor configuration.
   void validatePacked(const PackedTraceFeatures& packed) const;
-  /// Rebuilds flatBank_ from forests_ (RandomForest kind after fit/read).
+  /// Rebuilds flatBank_ from forests_ (RandomForest kind after fit).
   void buildFlatBank();
 
   PredictorParams params_;

@@ -1,5 +1,5 @@
 // oisa_timing: width-erased interfaces over the templated timed engines,
-// plus the factories the runtime lane-width dispatcher (see
+// plus the factory the runtime lane-width dispatcher (see
 // netlist/lane_width.h) routes through. TraceCollector and the defect
 // scan hold these instead of concrete LaneTimedSimulatorT widths, so
 // wider SIMD blocks flow through the experiment pipelines transparently.
@@ -35,14 +35,11 @@ class AnyLaneSimulator {
   /// (matches LaneTimedSimulatorT::forceNet).
   virtual void forceNet(netlist::NetId net, std::uint64_t laneMask,
                         std::uint64_t bits) = 0;
-  virtual void clearNetForces() = 0;
-  virtual void setEventBudget(std::uint64_t maxEventsPerCall) = 0;
   [[nodiscard]] virtual std::uint64_t eventsProcessed() const noexcept = 0;
   [[nodiscard]] virtual std::uint64_t laneTransitionsCommitted()
       const noexcept = 0;
   [[nodiscard]] virtual const std::vector<std::uint64_t>& netWords()
       const noexcept = 0;
-  [[nodiscard]] virtual TimePs nowPs() const noexcept = 0;
   [[nodiscard]] virtual const std::shared_ptr<const netlist::CompiledNetlist>&
   compiled() const noexcept = 0;
 };
@@ -58,14 +55,15 @@ class AnyLaneSampler {
   virtual void initialize(std::span<const std::uint64_t> inputWords) = 0;
   virtual void stepInto(std::span<const std::uint64_t> inputWords,
                         std::vector<std::uint64_t>& out) = 0;
-  [[nodiscard]] virtual double periodNs() const noexcept = 0;
   [[nodiscard]] virtual TimePs periodPs() const noexcept = 0;
   [[nodiscard]] virtual AnyLaneSimulator& simulator() noexcept = 0;
 };
 
 /// Builds the clocked-sampler variant for `sel` (default:
 /// netlist::selectLaneWidth()). Throws std::invalid_argument for a
-/// variant this build/CPU cannot run.
+/// (width, arch) pair that is not one of the five variants or that this
+/// build/CPU cannot run. Defined in oisa_fault (fault/lane_engines.cpp),
+/// the lowest library that links all three lane engines.
 [[nodiscard]] std::unique_ptr<AnyLaneSampler> makeLaneSampler(
     std::shared_ptr<const netlist::CompiledNetlist> compiled,
     const DelayAnnotation& delays, double periodNs);
@@ -73,17 +71,5 @@ class AnyLaneSampler {
     std::shared_ptr<const netlist::CompiledNetlist> compiled,
     const DelayAnnotation& delays, double periodNs,
     netlist::LaneSelection sel);
-
-namespace detail {
-
-// Per-arch factories, defined in the -mavx2 / -mavx512f dispatch TUs.
-[[nodiscard]] std::unique_ptr<AnyLaneSampler> makeLaneSamplerAvx2(
-    std::shared_ptr<const netlist::CompiledNetlist> compiled,
-    const DelayAnnotation& delays, double periodNs);
-[[nodiscard]] std::unique_ptr<AnyLaneSampler> makeLaneSamplerAvx512(
-    std::shared_ptr<const netlist::CompiledNetlist> compiled,
-    const DelayAnnotation& delays, double periodNs);
-
-}  // namespace detail
 
 }  // namespace oisa::timing

@@ -3,7 +3,7 @@
 namespace oisa::timing {
 
 // The 64-lane reference plus the portable wide fallbacks; intrinsic widths
-// are instantiated only in lane_sim_avx2.cpp / lane_sim_avx512.cpp.
+// are instantiated only in fault/lane_engines_avx{2,512}.cpp.
 template class LaneTimedSimulatorT<netlist::LaneBlock<64>>;
 template class LaneTimedSimulatorT<netlist::LaneBlock<256>>;
 template class LaneTimedSimulatorT<netlist::LaneBlock<512>>;

@@ -523,7 +523,7 @@ class LaneClockedSamplerT {
 using LaneClockedSampler = LaneClockedSamplerT<netlist::LaneBlock64>;
 
 // Portable widths are instantiated once in lane_sim.cpp (baseline flags);
-// the intrinsic widths live in the per-arch dispatch TUs.
+// the intrinsic widths live in the two ISA TUs (fault/lane_engines_avx*).
 extern template class LaneTimedSimulatorT<netlist::LaneBlock<64>>;
 extern template class LaneTimedSimulatorT<netlist::LaneBlock<256>>;
 extern template class LaneTimedSimulatorT<netlist::LaneBlock<512>>;

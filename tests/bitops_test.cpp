@@ -2,7 +2,7 @@
 // else is built on: the 64x64 bit-matrix transpose (netlist/bitops.h) and
 // the portable LaneBlock<W> register type (netlist/lane_block.h) at every
 // supported width. The intrinsic (AVX2/AVX-512) specializations are
-// deliberately not nameable here — only the -m-flagged dispatch TUs may
+// deliberately not nameable here — only the two -m-flagged ISA TUs may
 // instantiate them — so their equivalence is proven end-to-end through
 // the dispatched engines in lane_width_test.cpp instead.
 #include <gtest/gtest.h>

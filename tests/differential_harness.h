@@ -5,7 +5,8 @@
 // words, correlated random datasets, the unit-delay cell library, the
 // ISCAS-85 c17 benchmark) plus the lane bit-exactness helpers that prove
 // a wide dispatched engine equivalent to the 64-lane reference by slicing
-// its blocks into 64-bit sub-words.
+// its blocks into 64-bit sub-words, and a scoped OISA_FORCE_LANE_WIDTH
+// override.
 //
 // Every generator takes an explicit seed (or a caller-owned seeded rng)
 // and every differential entry point should sit under OISA_TRACE_SEED so
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <random>
@@ -34,6 +36,30 @@
 #include "timing/lane_dispatch.h"
 
 namespace oisa::testing {
+
+/// Temporarily pins OISA_FORCE_LANE_WIDTH, restoring on destruction.
+class ScopedLaneWidth {
+ public:
+  explicit ScopedLaneWidth(const std::string& spec) {
+    const char* old = std::getenv(netlist::kLaneWidthEnvVar);
+    if (old != nullptr) saved_ = old;
+    had_ = old != nullptr;
+    ::setenv(netlist::kLaneWidthEnvVar, spec.c_str(), 1);
+  }
+  ~ScopedLaneWidth() {
+    if (had_) {
+      ::setenv(netlist::kLaneWidthEnvVar, saved_.c_str(), 1);
+    } else {
+      ::unsetenv(netlist::kLaneWidthEnvVar);
+    }
+  }
+  ScopedLaneWidth(const ScopedLaneWidth&) = delete;
+  ScopedLaneWidth& operator=(const ScopedLaneWidth&) = delete;
+
+ private:
+  std::string saved_;
+  bool had_ = false;
+};
 
 /// Failure-reproduction message for OISA_TRACE_SEED.
 inline std::string seedMessage(std::uint64_t seed) {

@@ -2,6 +2,7 @@
 // runs of the figure pipelines.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
 
 #include "core/isa_adder.h"
@@ -11,6 +12,8 @@
 #include "experiments/runner.h"
 #include "experiments/trace_collector.h"
 #include "experiments/workload.h"
+
+#include "differential_harness.h"
 
 namespace {
 
@@ -259,6 +262,21 @@ TEST(RunnerTest, ThreadCountDoesNotChangeResults) {
     EXPECT_DOUBLE_EQ(a[i].rmsRelTiming, b[i].rmsRelTiming);
     EXPECT_EQ(a[i].cycles, b[i].cycles);
   }
+}
+
+TEST(RunnerTest, BadLaneWidthSpecFailsOnceBeforeAnyCell) {
+  const oisa::testing::ScopedLaneWidth env("bogus");
+  std::atomic<int> ran{0};
+  RunOptions options;
+  options.threads = 2;
+  try {
+    oisa::experiments::runCampaignGrid(8, options,
+                                       [&](std::size_t) { ++ran; });
+    ADD_FAILURE() << "expected StatusError";
+  } catch (const oisa::core::StatusError& e) {
+    EXPECT_EQ(e.code(), oisa::core::StatusCode::InvalidInput);
+  }
+  EXPECT_EQ(ran.load(), 0);
 }
 
 TEST(RunnerTest, BitDistributionSeparatesStructuralAndTiming) {

@@ -11,7 +11,6 @@
 // OISA_FORCE_LANE_WIDTH parsing/dispatch contract.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -45,6 +44,7 @@ using oisa::timing::CellLibrary;
 using oisa::timing::DelayAnnotation;
 using oisa::testing::kC17;
 using oisa::testing::randomNetlist;
+using oisa::testing::ScopedLaneWidth;
 using oisa::testing::unitLibrary;
 
 constexpr LaneSelection kReference{64, LaneArch::Portable};
@@ -57,30 +57,6 @@ std::string specFor(LaneSelection sel) {
   }
   return std::to_string(sel.width);
 }
-
-/// Temporarily pins OISA_FORCE_LANE_WIDTH, restoring on destruction.
-class ScopedLaneWidth {
- public:
-  explicit ScopedLaneWidth(const std::string& spec) {
-    const char* old = std::getenv(oisa::netlist::kLaneWidthEnvVar);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    ::setenv(oisa::netlist::kLaneWidthEnvVar, spec.c_str(), 1);
-  }
-  ~ScopedLaneWidth() {
-    if (had_) {
-      ::setenv(oisa::netlist::kLaneWidthEnvVar, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(oisa::netlist::kLaneWidthEnvVar);
-    }
-  }
-  ScopedLaneWidth(const ScopedLaneWidth&) = delete;
-  ScopedLaneWidth& operator=(const ScopedLaneWidth&) = delete;
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
 
 /// Every variant except the 64-lane reference itself.
 std::vector<LaneSelection> wideSelections() {
@@ -169,6 +145,30 @@ TEST(LaneWidthTest, EnginesReportTheirSelection) {
     const auto engine = oisa::fault::makePpsfpEngine(compiled, sel);
     EXPECT_TRUE(engine->selection() == sel);
     EXPECT_EQ(engine->lanes(), sel.width);
+  }
+}
+
+TEST(LaneWidthTest, FactoriesRejectMismatchedWidthArchPairs) {
+  // Only the five real variants exist. A vector arch at the wrong width
+  // (or a width no block has) must not silently build some other engine.
+  std::mt19937_64 rng(79);
+  const Netlist nl = randomNetlist(rng, 8, 30);
+  const auto compiled = CompiledNetlist::compile(nl);
+  const DelayAnnotation delays(nl, unitLibrary());
+  for (const LaneSelection sel : {LaneSelection{256, LaneArch::Avx512},
+                                  LaneSelection{64, LaneArch::Avx2},
+                                  LaneSelection{128, LaneArch::Portable}}) {
+    const std::string name = oisa::netlist::laneSelectionName(sel);
+    EXPECT_THROW((void)oisa::netlist::makeBatchEvaluator(compiled, sel),
+                 std::invalid_argument)
+        << name;
+    EXPECT_THROW(
+        (void)oisa::timing::makeLaneSampler(compiled, delays, 1.0, sel),
+        std::invalid_argument)
+        << name;
+    EXPECT_THROW((void)oisa::fault::makePpsfpEngine(compiled, sel),
+                 std::invalid_argument)
+        << name;
   }
 }
 

@@ -3,13 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <random>
-#include <sstream>
 
 #include "ml/dataset.h"
 #include "ml/decision_tree.h"
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
-#include "ml/serialize.h"
 
 namespace {
 
@@ -196,43 +194,6 @@ TEST(ConfusionMatrixTest, DerivedScores) {
   EXPECT_DOUBLE_EQ(cm.recall(), 8.0 / 10.0);
   EXPECT_NEAR(cm.f1(),
               2.0 * (8.0 / 9.0) * 0.8 / ((8.0 / 9.0) + 0.8), 1e-12);
-}
-
-TEST(SerializationTest, TreeRoundTripPreservesPredictions) {
-  const Dataset data = xorDataset(50);
-  DecisionTree tree;
-  tree.fit(data, TreeParams{});
-  std::stringstream ss;
-  saveTree(tree, ss);
-  const DecisionTree loaded = oisa::ml::loadTree(ss);
-  for (std::size_t i = 0; i < data.rowCount(); ++i) {
-    EXPECT_EQ(loaded.predict(data.row(i)), tree.predict(data.row(i)));
-  }
-}
-
-TEST(SerializationTest, ForestRoundTripPreservesProbabilities) {
-  const Dataset data = xorDataset(50);
-  RandomForest forest;
-  ForestParams params;
-  params.treeCount = 7;
-  forest.fit(data, params, 5);
-  std::stringstream ss;
-  saveForest(forest, ss);
-  const RandomForest loaded = oisa::ml::loadForest(ss);
-  ASSERT_EQ(loaded.trees().size(), forest.trees().size());
-  for (std::size_t i = 0; i < data.rowCount(); ++i) {
-    EXPECT_DOUBLE_EQ(loaded.predictProbability(data.row(i)),
-                     forest.predictProbability(data.row(i)));
-  }
-}
-
-TEST(SerializationTest, RejectsCorruptStreams) {
-  std::stringstream bad("nonsense 3");
-  EXPECT_THROW((void)oisa::ml::loadTree(bad), std::runtime_error);
-  std::stringstream truncated("tree 2\n0 1 2 0.5\n");
-  EXPECT_THROW((void)oisa::ml::loadTree(truncated), std::runtime_error);
-  std::stringstream badChild("tree 1\n0 7 9 0.5\n");
-  EXPECT_THROW((void)oisa::ml::loadTree(badChild), std::runtime_error);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <array>
 #include <memory>
 #include <random>
-#include <sstream>
 #include <vector>
 
 #include "circuits/synthesis.h"
@@ -18,7 +17,6 @@
 #include "ml/dataset.h"
 #include "ml/decision_tree.h"
 #include "ml/random_forest.h"
-#include "ml/serialize.h"
 #include "predict/bit_predictor.h"
 #include "predict/features.h"
 
@@ -386,58 +384,6 @@ TEST(PackedPredictorTest, AllBitsAgreeWithScalarOnCollectedTrace) {
   const std::uint64_t avpeCycles = cycles - skipped;
   EXPECT_EQ(eval.avpe,
             avpeCycles ? avpeSum / static_cast<double>(avpeCycles) : 0.0);
-}
-
-TEST(PackedPredictorTest, SerializeRoundTripOnPackedTrainedForests) {
-  const Trace train = collectPaperTrace(500, 23);
-  const Trace test = collectPaperTrace(200, 29);
-  oisa::predict::PredictorParams params;
-  params.forest.treeCount = 4;
-  BitLevelPredictor predictor(32, params);
-  predictor.fit(train);
-
-  std::stringstream ss;
-  predictor.save(ss);
-  const BitLevelPredictor loaded = BitLevelPredictor::load(ss);
-  for (std::size_t t = 1; t < test.size(); ++t) {
-    const auto original = predictor.predictFlips(test[t - 1], test[t]);
-    const auto reloaded = loaded.predictFlips(test[t - 1], test[t]);
-    EXPECT_EQ(original.sumFlips, reloaded.sumFlips);
-    EXPECT_EQ(original.coutFlip, reloaded.coutFlip);
-  }
-  const auto e1 = predictor.evaluate(test);
-  const auto e2 = loaded.evaluate(test);
-  EXPECT_EQ(e1.abper, e2.abper);
-  EXPECT_EQ(e1.avpe, e2.avpe);
-}
-
-TEST(PackedPredictorTest, StandaloneForestRoundTripPreservesNodes) {
-  // saveForest/loadForest on a packed-trained forest: the node arrays
-  // themselves survive, not just the predictions.
-  const Dataset data = randomDataset(300, 8, 91);
-  RandomForest forest;
-  ForestParams params;
-  params.treeCount = 6;
-  forest.fit(data, params, 14);
-  std::stringstream ss;
-  oisa::ml::saveForest(forest, ss);
-  const RandomForest loaded = oisa::ml::loadForest(ss);
-  ASSERT_EQ(loaded.trees().size(), forest.trees().size());
-  for (std::size_t t = 0; t < forest.trees().size(); ++t) {
-    expectSameNodes(loaded.trees()[t], forest.trees()[t]);
-  }
-}
-
-TEST(PackedPredictorTest, LoadRejectsEmptyTreesAndForests) {
-  // The fast (unchecked/batched) inference paths rely on loaded models
-  // being non-empty; the serializer must reject degenerate records at the
-  // trust boundary instead of letting them reach those walks.
-  std::stringstream emptyTree("tree 0\n");
-  EXPECT_THROW((void)oisa::ml::loadTree(emptyTree), std::runtime_error);
-  std::stringstream emptyForest("forest 0\n");
-  EXPECT_THROW((void)oisa::ml::loadForest(emptyForest), std::runtime_error);
-  std::stringstream bank("bitpredictor 1 1 2\nforest 1\ntree 0\n");
-  EXPECT_THROW((void)BitLevelPredictor::load(bank), std::runtime_error);
 }
 
 TEST(PackedPredictorTest, AvpeUsesIntegerMagnitude) {

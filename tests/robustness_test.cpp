@@ -1,8 +1,8 @@
 // Robustness boundaries: every malformed input in tests/data/malformed/
-// comes back as a diagnostic Status (never a crash, never UB), model
-// files detect any single-byte corruption, the Verilog import/export
-// round-trip is functionally exact, and the file.open fault-injection
-// site drives the IoError paths.
+// comes back as a diagnostic Status (never a crash, never UB), the
+// Verilog import/export round-trip is functionally exact, and the
+// file.open fault-injection site drives the IoError paths. (Model-file
+// corruption is covered by the envelope v2 suite in flat_forest_test.)
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -12,9 +12,6 @@
 
 #include "core/fault_inject.h"
 #include "core/status.h"
-#include "ml/dataset.h"
-#include "ml/random_forest.h"
-#include "ml/serialize.h"
 #include "netlist/bench_io.h"
 #include "netlist/equivalence.h"
 #include "netlist/netlist.h"
@@ -188,87 +185,6 @@ TEST(VerilogReaderTest, FileOpenInjectionAndMissingFileAreIoErrors) {
       oisa::netlist::readVerilogFile(dataPath("does_not_exist.v"));
   ASSERT_FALSE(missing.isOk());
   EXPECT_EQ(missing.status().code(), StatusCode::IoError);
-}
-
-// --- model-file integrity ---------------------------------------------
-
-oisa::ml::RandomForest trainedForest() {
-  // Small deterministic dataset: label = majority(f0, f1, f2).
-  oisa::ml::Dataset data(4);
-  for (int i = 0; i < 64; ++i) {
-    const std::uint8_t f0 = (i >> 0) & 1, f1 = (i >> 1) & 1,
-                       f2 = (i >> 2) & 1, f3 = (i >> 3) & 1;
-    const std::uint8_t row[4] = {f0, f1, f2, f3};
-    data.addRow(row, f0 + f1 + f2 >= 2);
-  }
-  oisa::ml::RandomForest forest;
-  oisa::ml::ForestParams params;
-  params.treeCount = 3;
-  forest.fit(data, params, 7);
-  return forest;
-}
-
-TEST(ModelIntegrityTest, RoundTripIsExact) {
-  const oisa::ml::RandomForest forest = trainedForest();
-  std::stringstream ss;
-  oisa::ml::saveForest(forest, ss);
-  auto loaded = oisa::ml::readForest(ss);
-  ASSERT_TRUE(loaded.isOk()) << loaded.status().toString();
-  ASSERT_EQ(loaded.value().trees().size(), forest.trees().size());
-}
-
-TEST(ModelIntegrityTest, FlippingAnySingleByteIsDetected) {
-  const oisa::ml::RandomForest forest = trainedForest();
-  std::ostringstream os;
-  oisa::ml::saveForest(forest, os);
-  const std::string good = os.str();
-  ASSERT_FALSE(good.empty());
-  for (std::size_t i = 0; i < good.size(); ++i) {
-    std::string bad = good;
-    bad[i] = static_cast<char>(bad[i] ^ 0x20);  // flip one bit of one byte
-    if (bad == good) continue;
-    std::istringstream is(bad);
-    const auto result = oisa::ml::readForest(is);
-    ASSERT_FALSE(result.isOk())
-        << "byte " << i << " flip went undetected";
-    EXPECT_EQ(result.status().code(), StatusCode::Corruption)
-        << "byte " << i << ": " << result.status().toString();
-  }
-}
-
-TEST(ModelIntegrityTest, TruncationAtEveryLengthIsDetected) {
-  const oisa::ml::RandomForest forest = trainedForest();
-  std::ostringstream os;
-  oisa::ml::saveForest(forest, os);
-  const std::string good = os.str();
-  for (std::size_t len = 0; len < good.size(); ++len) {
-    std::istringstream is(good.substr(0, len));
-    const auto result = oisa::ml::readForest(is);
-    ASSERT_FALSE(result.isOk()) << "truncation at " << len << " undetected";
-    EXPECT_EQ(result.status().code(), StatusCode::Corruption) << len;
-  }
-}
-
-TEST(ModelIntegrityTest, LegacyHeadersAndGarbageStillThrowViaWrappers) {
-  // The throwing wrappers keep the pre-Status contract for old callers.
-  std::stringstream legacy("tree 1\n0 0 0 0.5\n");
-  EXPECT_THROW((void)oisa::ml::loadTree(legacy), std::runtime_error);
-  std::stringstream garbage(std::string("\x00\xff\x13garbage", 10));
-  EXPECT_THROW((void)oisa::ml::loadForest(garbage), std::runtime_error);
-}
-
-TEST(ModelIntegrityTest, EnvelopesConcatenateOnOneStream) {
-  // The bit-level predictor stores one forest per output bit back to
-  // back; sequential reads must consume exactly one envelope each.
-  const oisa::ml::RandomForest forest = trainedForest();
-  std::stringstream ss;
-  oisa::ml::saveForest(forest, ss);
-  oisa::ml::saveForest(forest, ss);
-  auto first = oisa::ml::readForest(ss);
-  auto second = oisa::ml::readForest(ss);
-  ASSERT_TRUE(first.isOk()) << first.status().toString();
-  ASSERT_TRUE(second.isOk()) << second.status().toString();
-  EXPECT_EQ(first.value().trees().size(), second.value().trees().size());
 }
 
 // --- fault-plan hygiene ------------------------------------------------
