@@ -26,9 +26,9 @@ int main(int argc, char** argv) {
   options.run.seed = args.getU64("seed", 42);
   options.run.threads = bench::threadsOption(args);
   bench::applyRobustnessOptions(args, options.run);
-  options.predictor.forest.treeCount = args.getU64("trees", 10);
-  options.predictor.forest.tree.maxDepth =
-      static_cast<int>(args.getU64("depth", 10));
+  options.predictor.forest.treeCount = args.getPositiveU64("trees", 10);
+  options.predictor.forest.tree.maxDepth = static_cast<int>(
+      args.getU64InRange("depth", 10, 0, ml::kStackedTreeDepth));
   bench::applyModelOptions(args, options);
   const auto shard = bench::setupSharding(
       args, argv[0], options.run,

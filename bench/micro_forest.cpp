@@ -127,8 +127,9 @@ int main(int argc, char** argv) {
   const std::uint64_t baseSeed = args.getU64("seed", 42);
 
   predict::PredictorParams params;
-  params.forest.treeCount = args.getU64("trees", 10);
-  params.forest.tree.maxDepth = static_cast<int>(args.getU64("depth", 10));
+  params.forest.treeCount = args.getPositiveU64("trees", 10);
+  params.forest.tree.maxDepth = static_cast<int>(
+      args.getU64InRange("depth", 10, 0, ml::kStackedTreeDepth));
   params.seed = baseSeed;
 
   const Trace trainTrace = makeTrace(width, trainCycles, baseSeed + 101);

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     options.testCycles = args.getU64("test-cycles", 3000);
     options.run.seed = args.getU64("seed", 42);
     options.run.threads = bench::threadsOption(args);
-    options.predictor.forest.treeCount = args.getU64("trees", 10);
+    options.predictor.forest.treeCount = args.getPositiveU64("trees", 10);
 
     const auto runCell = [&] {
       return runPredictionEvaluation(designs, cprs, options);

@@ -122,8 +122,9 @@ int main(int argc, char** argv) {
                      .string());
 
     predict::PredictorParams params;
-    params.forest.treeCount = args.getU64("trees", 10);
-    params.forest.tree.maxDepth = static_cast<int>(args.getU64("depth", 10));
+    params.forest.treeCount = args.getPositiveU64("trees", 10);
+    params.forest.tree.maxDepth = static_cast<int>(
+        args.getU64InRange("depth", 10, 0, ml::kStackedTreeDepth));
     params.seed = baseSeed;
 
     const Trace trainTrace = makeTrace(width, trainCycles, baseSeed + 101);

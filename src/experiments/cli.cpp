@@ -17,7 +17,8 @@ using core::StatusError;
 /// ("stoull") with no hint of which flag was wrong; every conversion
 /// failure is now an InvalidInput Status naming the flag, the expected
 /// type and the offending text.
-[[noreturn]] void failValue(const std::string& key, const char* expected,
+[[noreturn]] void failValue(const std::string& key,
+                            const std::string& expected,
                             const std::string& text) {
   throw StatusError(Status::invalidInput("--" + key + ": expected " +
                                          expected + ", got '" + text + "'"));
@@ -68,6 +69,20 @@ std::uint64_t ArgParser::getPositiveU64(const std::string& key,
                                         std::uint64_t fallback) const {
   const std::uint64_t value = getU64(key, fallback);
   if (value == 0) failValue(key, "a positive integer", getString(key, "0"));
+  return value;
+}
+
+std::uint64_t ArgParser::getU64InRange(const std::string& key,
+                                       std::uint64_t fallback,
+                                       std::uint64_t lo,
+                                       std::uint64_t hi) const {
+  const std::uint64_t value = getU64(key, fallback);
+  if (value < lo || value > hi) {
+    failValue(key,
+              "an integer in [" + std::to_string(lo) + ", " +
+                  std::to_string(hi) + "]",
+              getString(key, std::to_string(value)));
+  }
   return value;
 }
 

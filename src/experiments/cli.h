@@ -21,6 +21,14 @@ class ArgParser {
   /// (--checkpoint-every, --shards). The diagnostic names the flag.
   [[nodiscard]] std::uint64_t getPositiveU64(const std::string& key,
                                              std::uint64_t fallback) const;
+  /// getU64 restricted to [lo, hi] — for flags the code narrows to a
+  /// smaller type or that an engine bounds (--depth). Out-of-range values
+  /// fail with a diagnostic naming the flag and the range instead of
+  /// wrapping or clamping.
+  [[nodiscard]] std::uint64_t getU64InRange(const std::string& key,
+                                            std::uint64_t fallback,
+                                            std::uint64_t lo,
+                                            std::uint64_t hi) const;
   [[nodiscard]] double getDouble(const std::string& key,
                                  double fallback) const;
   [[nodiscard]] std::string getString(const std::string& key,

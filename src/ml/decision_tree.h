@@ -22,6 +22,12 @@
 
 namespace oisa::ml {
 
+/// Depth the lane-mask tree walks (DecisionTree::accumulateLanes and the
+/// flat-bank FlatForest walk) keep on their fixed explicit stacks; a
+/// deeper tree spills into recursion. Command-line --depth flags are
+/// bounded by it.
+inline constexpr std::size_t kStackedTreeDepth = 64;
+
 /// Tree growth controls.
 struct TreeParams {
   int maxDepth = 12;
@@ -103,14 +109,15 @@ class DecisionTree final : public BinaryClassifier {
   }
 
  private:
+  class CandidateSampler;
+  struct PackedSlot;
   struct PackedGrowContext;
-  struct PackedRows;
 
   std::uint32_t grow(const Dataset& data, std::vector<std::uint32_t>& rows,
                      int depth, const TreeParams& params,
-                     std::mt19937_64& rng);
-  std::uint32_t growPacked(PackedGrowContext& ctx, PackedRows& rows,
-                           int depth);
+                     std::mt19937_64& rng, CandidateSampler& sampler);
+  std::uint32_t growPacked(PackedGrowContext& ctx, std::size_t slot,
+                           std::size_t n, std::size_t pos, int depth);
   void accumulateLanes(std::span<const std::uint64_t> featureWords,
                        std::uint32_t idx, std::uint64_t mask,
                        double* sums) const noexcept;

@@ -31,14 +31,14 @@ void FlatForest::accumulateTreeLanes(
   // accumulateLanes, re-rooted on the flat arrays. The stack bound holds
   // for any bank that passed validateFlatBank: children strictly follow
   // their parent, so depth never exceeds the node count, and grown trees
-  // are capped far below 64 levels; a deeper (hand-built) tree spills
+  // are capped far below kStackedTreeDepth; a deeper (hand-built) tree spills
   // into recursion rather than overflowing.
   const FlatBankView& b = bank_;
   struct Frame {
     std::uint32_t idx;
     std::uint64_t mask;
   };
-  std::array<Frame, 64> stack;
+  std::array<Frame, kStackedTreeDepth> stack;
   std::size_t top = 0;
   for (;;) {
     while (b.feature[idx] >= 0) {

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <optional>
 #include <stdexcept>
 
 #include "ml/importance.h"
 #include "ml/serialize.h"
 #include "netlist/bitops.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 
 namespace oisa::predict {
 
@@ -37,6 +39,7 @@ void BitLevelPredictor::fit(const PackedTraceFeatures& packed) {
         "BitLevelPredictor::fit: need at least one packed row");
   }
   const int bits = extractor_.outputBitCount();
+  const obs::ObsSpan span("predictor.fit", "predict", "rows", packed.rowCount);
   forests_.clear();
   treesOnly_.clear();
   majorities_.clear();
@@ -48,6 +51,14 @@ void BitLevelPredictor::fit(const PackedTraceFeatures& packed) {
     switch (params_.model) {
       case ModelKind::RandomForest: {
         ml::RandomForest forest;
+        // One span per bank that grows trees; constant-label banks emit a
+        // single leaf and stay unspanned.
+        std::optional<obs::ObsSpan> bankSpan;
+        const std::size_t positives = view.positiveCount();
+        if (positives != 0 && positives != view.rowCount) {
+          bankSpan.emplace("forest.fit", "ml", "bit",
+                           static_cast<std::uint64_t>(bit));
+        }
         forest.fit(view, params_.forest, seed);
         forests_.push_back(std::move(forest));
         break;
@@ -304,6 +315,8 @@ PredictorEvaluation BitLevelPredictor::evaluate(
     throw std::logic_error("BitLevelPredictor: evaluate before fit");
   }
   validatePacked(packed);
+  const obs::ObsSpan span("predictor.evaluate", "predict", "rows",
+                          packed.rowCount);
   if (testTrace.size() < 2 || packed.rowCount != testTrace.size() - 1) {
     throw std::invalid_argument(
         "BitLevelPredictor::evaluate: packed rows must be the trace's "

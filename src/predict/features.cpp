@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "netlist/bitops.h"
+#include "obs/span.h"
 
 namespace oisa::predict {
 
@@ -140,6 +141,7 @@ std::size_t FeatureExtractor::packBlock(
 PackedTraceFeatures FeatureExtractor::packTrace(const Trace& trace) const {
   PackedTraceFeatures out;
   out.rowCount = trace.size() < 2 ? 0 : trace.size() - 1;
+  const obs::ObsSpan span("features.pack", "predict", "rows", out.rowCount);
   out.wordCount = (out.rowCount + 63) / 64;
   out.sharedCount = sharedFeatureCount();
   const std::size_t words = out.wordCount;

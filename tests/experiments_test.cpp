@@ -158,6 +158,33 @@ TEST(CliTest, PositiveU64KeepsTheUnsignedDiagnostics) {
                oisa::core::StatusError);
 }
 
+TEST(CliTest, BoundedU64RejectsOutOfRangeModelFlags) {
+  // --depth used to be narrowed with static_cast<int>: 2^32 + 10 wrapped
+  // back to depth 10 and 2^31 became INT_MIN (every tree one leaf). The
+  // bounded getter fails closed, naming the flag and the range.
+  for (const char* bad : {"--depth=4294967306", "--depth=2147483648",
+                          "--depth=65"}) {
+    const char* argv[] = {"prog", bad};
+    const ArgParser args(2, argv);
+    try {
+      (void)args.getU64InRange("depth", 10, 0, 64);
+      FAIL() << "expected StatusError for " << bad;
+    } catch (const oisa::core::StatusError& e) {
+      EXPECT_EQ(e.status().code(), oisa::core::StatusCode::InvalidInput);
+      EXPECT_NE(e.status().message().find("--depth"), std::string::npos);
+      EXPECT_NE(e.status().message().find("[0, 64]"), std::string::npos);
+    }
+  }
+  const char* argv[] = {"prog", "--depth=64", "--shallow=0", "--trees=0"};
+  const ArgParser args(4, argv);
+  EXPECT_EQ(args.getU64InRange("depth", 10, 0, 64), 64u);
+  EXPECT_EQ(args.getU64InRange("shallow", 10, 0, 64), 0u);
+  EXPECT_EQ(args.getU64InRange("missing", 10, 0, 64), 10u);
+  // --trees=0 would parse and then throw inside every campaign cell.
+  EXPECT_THROW((void)args.getPositiveU64("trees", 10),
+               oisa::core::StatusError);
+}
+
 TEST(ReportTest, TableAlignsAndEmitsCsv) {
   Table table({"design", "value"});
   table.addRow({"(8,0,0,4)", "1.5e-02"});

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <climits>
 #include <memory>
 #include <random>
 #include <vector>
@@ -106,15 +107,23 @@ TEST(PackedViewTest, CacheInvalidatedByAddRow) {
 
 TEST(PackedTrainerTest, MatchesReferenceAcrossRandomDatasets) {
   // Property: identical node arrays for the same rows, params and rng
-  // seed, across dataset shapes and growth-control corners.
+  // seed, across dataset shapes (row counts around the 64-row word) and
+  // growth-control corners. Candidates are scored four at a time, so the
+  // subsampling sizes (and fps = 0 over 3 or 17 features) leave partial
+  // blocks of every size.
   const TreeParams paramSets[] = {
-      TreeParams{},                 // defaults
-      TreeParams{3, 4, 1, 0},       // shallow
-      TreeParams{12, 2, 3, 4},      // feature subsampling + leaf minimum
-      TreeParams{20, 8, 1, 5},      // deep, subsampled
+      TreeParams{},                  // defaults
+      TreeParams{0, 2, 1, 0},        // depth 0: the root is the tree
+      TreeParams{3, 4, 1, 0},        // shallow
+      TreeParams{12, 2, 3, 4},       // feature subsampling + leaf minimum
+      TreeParams{20, 8, 1, 5},       // deep, subsampled
+      TreeParams{12, 2, 1, 1},       // one candidate per split
+      TreeParams{12, 2, 1, 2},
+      TreeParams{12, 2, 1, 3},
+      TreeParams{INT_MAX, 2, 1, 0},  // unbounded: depth slots grow on demand
   };
   std::uint64_t seed = 1000;
-  for (const std::size_t rows : {5u, 64u, 65u, 300u}) {
+  for (const std::size_t rows : {1u, 5u, 63u, 64u, 65u, 300u}) {
     for (const std::size_t features : {3u, 17u}) {
       const Dataset data = randomDataset(rows, features, ++seed);
       for (const TreeParams& params : paramSets) {
@@ -159,6 +168,46 @@ TEST(PackedTrainerTest, RejectsBadRows) {
                std::out_of_range);
 }
 
+/// Fits `rows` of `data` with both trainers from the same rng seed and
+/// asserts node-for-node equality.
+void expectTrainersAgree(const Dataset& data,
+                         const std::vector<std::uint32_t>& rows,
+                         const TreeParams& params, std::uint64_t seed) {
+  DecisionTree packed, reference;
+  std::mt19937_64 rngA(seed), rngB(seed);
+  packed.fit(data.packed(), rows, params, rngA);
+  reference.fitReference(data, rows, params, rngB);
+  expectSameNodes(packed, reference);
+  EXPECT_EQ(rngA(), rngB()) << "trainers consumed the rng differently";
+}
+
+TEST(PackedTrainerTest, MatchesReferenceAtHighMultiplicity) {
+  // Repeat counts past 255 spill into a second byte of bit-planes.
+  Dataset pair(3);
+  pair.addRow(std::vector<std::uint8_t>{1, 0, 1}, true);
+  pair.addRow(std::vector<std::uint8_t>{0, 1, 1}, false);
+  std::mt19937_64 sampler(11);
+  std::vector<std::uint32_t> draws(1000);
+  for (auto& r : draws) r = static_cast<std::uint32_t>(sampler() & 1);
+  expectTrainersAgree(pair, draws, TreeParams{}, 1);
+  DecisionTree tree;
+  std::mt19937_64 rng(1);
+  tree.fit(pair.packed(), draws, TreeParams{}, rng);
+  EXPECT_EQ(tree.nodeCount(), 3u);  // one split separates the two rows
+
+  // Skewed counts up to 599 (ten planes) across two words of rows.
+  const Dataset data = randomDataset(70, 6, 8);
+  std::vector<std::uint32_t> rows;
+  for (std::uint32_t r = 0; r < 70; ++r) {
+    rows.insert(rows.end(), (r * 37) % 600, r);
+  }
+  for (const std::size_t fps : {0u, 2u}) {
+    TreeParams params;
+    params.featuresPerSplit = fps;
+    expectTrainersAgree(data, rows, params, 5 + fps);
+  }
+}
+
 TEST(PackedForestTest, FitMatchesReferenceTreeForTree) {
   const Dataset data = randomDataset(400, 12, 21);
   ForestParams params;
@@ -173,19 +222,27 @@ TEST(PackedForestTest, FitMatchesReferenceTreeForTree) {
 }
 
 TEST(PackedForestTest, ConstantLabelShortcutMatchesReference) {
-  Dataset data(4);
-  std::mt19937_64 rng(5);
-  for (int i = 0; i < 100; ++i) {
-    std::vector<std::uint8_t> row(4);
-    for (auto& v : row) v = static_cast<std::uint8_t>(rng() & 1);
-    data.addRow(row, true);
+  for (const bool label : {false, true}) {
+    Dataset data(4);
+    std::mt19937_64 rng(5);
+    for (int i = 0; i < 100; ++i) {
+      std::vector<std::uint8_t> row(4);
+      for (auto& v : row) v = static_cast<std::uint8_t>(rng() & 1);
+      data.addRow(row, label);
+    }
+    RandomForest packed, reference;
+    packed.fit(data, ForestParams{}, 2);
+    reference.fitReference(data, ForestParams{}, 2);
+    ASSERT_EQ(packed.trees().size(), 1u);
+    ASSERT_EQ(reference.trees().size(), 1u);
+    expectSameNodes(packed.trees()[0], reference.trees()[0]);
+    EXPECT_EQ(packed.trees()[0].nodes()[0].probability, label ? 1.0f : 0.0f);
+
+    DecisionTree packedLeaf, referenceLeaf;
+    packedLeaf.fit(data.packed(), TreeParams{0, 2, 1, 0}, 2);
+    referenceLeaf.fitReference(data, TreeParams{0, 2, 1, 0}, 2);
+    expectSameNodes(packedLeaf, referenceLeaf);
   }
-  RandomForest packed, reference;
-  packed.fit(data, ForestParams{}, 2);
-  reference.fitReference(data, ForestParams{}, 2);
-  ASSERT_EQ(packed.trees().size(), 1u);
-  ASSERT_EQ(reference.trees().size(), 1u);
-  expectSameNodes(packed.trees()[0], reference.trees()[0]);
 }
 
 // Lane-major feature words for rows [base, base+64) of a dataset.
