@@ -1,5 +1,6 @@
 #include "core/isa_adder.h"
 
+#include <array>
 #include <bit>
 #include <stdexcept>
 
@@ -12,6 +13,30 @@ namespace {
   if (n >= 64) return ~std::uint64_t{0};
   return (std::uint64_t{1} << n) - 1;
 }
+
+/// n-bit a + b + carryIn for operands already masked to n bits, n in
+/// [1, 64]. At n == 64 the top bit is split off, so the carry-out needs no
+/// 65-bit arithmetic (and no shift by 64).
+[[nodiscard]] constexpr IsaSum addBits(std::uint64_t a, std::uint64_t b,
+                                       bool carryIn, int n) noexcept {
+  IsaSum r;
+  if (n < 64) {
+    const std::uint64_t raw = a + b + (carryIn ? 1u : 0u);
+    r.sum = raw & maskBits(n);
+    r.carryOut = ((raw >> n) & 1u) != 0;
+    return r;
+  }
+  const std::uint64_t lowMask = maskBits(63);
+  const std::uint64_t low = (a & lowMask) + (b & lowMask) +
+                            (carryIn ? 1u : 0u);
+  const std::uint64_t topSum = (a >> 63) + (b >> 63) + (low >> 63);
+  r.sum = (low & lowMask) | ((topSum & 1u) << 63);
+  r.carryOut = (topSum >> 1) != 0;
+  return r;
+}
+
+/// Upper bound of IsaConfig::pathCount() (width <= 64, block >= 1).
+constexpr int kMaxPaths = 64;
 }  // namespace
 
 IsaAdder::IsaAdder(const IsaConfig& cfg) : cfg_(cfg) {
@@ -22,45 +47,38 @@ IsaAdder::IsaAdder(const IsaConfig& cfg) : cfg_(cfg) {
 
 IsaSum IsaAdder::exactAdd(std::uint64_t a, std::uint64_t b,
                           bool carryIn) const {
-  a &= mask_;
-  b &= mask_;
-  // Split the top bit off so width-64 carry-out is computable without
-  // 65-bit arithmetic.
-  const std::uint64_t low = (a & (mask_ >> 1)) + (b & (mask_ >> 1)) +
-                            (carryIn ? 1u : 0u);
-  const int top = cfg_.width - 1;
-  const std::uint64_t topSum = ((a >> top) & 1u) + ((b >> top) & 1u) +
-                               ((low >> top) & 1u);
-  IsaSum r;
-  r.sum = ((low & maskBits(top)) | ((topSum & 1u) << top)) & mask_;
-  r.carryOut = (topSum >> 1) != 0;
-  return r;
+  return addBits(a & mask_, b & mask_, carryIn, cfg_.width);
 }
 
 IsaSum IsaAdder::add(std::uint64_t a, std::uint64_t b, bool carryIn) const {
-  std::vector<PathTrace> traces;
-  return addTraced(a, b, carryIn, traces);
+  if (cfg_.exact) return exactAdd(a, b, carryIn);
+  return addPaths<false>(a & mask_, b & mask_, carryIn, nullptr);
 }
 
 IsaSum IsaAdder::addTraced(std::uint64_t a, std::uint64_t b, bool carryIn,
                            std::vector<PathTrace>& traces) const {
-  a &= mask_;
-  b &= mask_;
   if (cfg_.exact) {
     traces.assign(1, PathTrace{});
     return exactAdd(a, b, carryIn);
   }
+  traces.assign(static_cast<std::size_t>(cfg_.pathCount()), PathTrace{});
+  return addPaths<true>(a & mask_, b & mask_, carryIn, traces.data());
+}
+
+template <bool kTraced>
+IsaSum IsaAdder::addPaths(std::uint64_t a, std::uint64_t b, bool carryIn,
+                          PathTrace* traces) const {
   const int k = cfg_.block;
   const int paths = cfg_.pathCount();
   const int s = cfg_.spec;
   const int c = cfg_.correction;
   const int r = cfg_.reduction;
-  const std::uint64_t topRMask = maskBits(r) << (k - r);
+  const std::uint64_t topRMask = blockMask_ & ~maskBits(k - r);
 
-  traces.assign(static_cast<std::size_t>(paths), PathTrace{});
-  std::vector<std::uint64_t> sums(static_cast<std::size_t>(paths), 0);
-  std::vector<bool> couts(static_cast<std::size_t>(paths), false);
-  std::vector<bool> specs(static_cast<std::size_t>(paths), false);
+  // Every entry below `paths` is written by stage 1 before it is read.
+  std::array<std::uint64_t, kMaxPaths> sums;
+  std::array<bool, kMaxPaths> couts;
+  std::array<bool, kMaxPaths> specs;
 
   // Stage 1: concurrent speculative paths (SPEC + ADD).
   for (int i = 0; i < paths; ++i) {
@@ -81,12 +99,14 @@ IsaSum IsaAdder::addTraced(std::uint64_t a, std::uint64_t b, bool carryIn,
     } else {
       spec = cfg_.speculateHigh;  // S == 0: constant speculation
     }
-    const std::uint64_t raw = ai + bi + (spec ? 1u : 0u);
-    sums[static_cast<std::size_t>(i)] = raw & blockMask_;
-    couts[static_cast<std::size_t>(i)] = ((raw >> k) & 1u) != 0;
+    const IsaSum raw = addBits(ai, bi, spec, k);
+    sums[static_cast<std::size_t>(i)] = raw.sum;
+    couts[static_cast<std::size_t>(i)] = raw.carryOut;
     specs[static_cast<std::size_t>(i)] = spec;
-    traces[static_cast<std::size_t>(i)].specCarry = spec;
-    traces[static_cast<std::size_t>(i)].rawSum = raw & blockMask_;
+    if constexpr (kTraced) {
+      traces[i].specCarry = spec;
+      traces[i].rawSum = raw.sum;
+    }
   }
 
   // Stage 2: COMP blocks. Each path compares its speculated carry against
@@ -95,47 +115,58 @@ IsaSum IsaAdder::addTraced(std::uint64_t a, std::uint64_t b, bool carryIn,
   for (int i = 1; i < paths; ++i) {
     const auto idx = static_cast<std::size_t>(i);
     const bool cPrev = couts[idx - 1];
-    traces[idx].trueCarryIn = cPrev;
     const int err = static_cast<int>(cPrev) - static_cast<int>(specs[idx]);
-    traces[idx].faultDirection = err;
+    if constexpr (kTraced) {
+      traces[i].trueCarryIn = cPrev;
+      traces[i].faultDirection = err;
+    }
     if (err == 0) continue;
     const std::uint64_t lowC = sums[idx] & maskBits(c);
-    const std::int64_t blockWeight = std::int64_t{1}
-                                     << (static_cast<unsigned>(i) *
+    // Weights and contribution wrap in unsigned space: a fault weighted
+    // 2^63 (width 64, block 1) has no positive int64 form.
+    const std::uint64_t blockWeight = std::uint64_t{1}
+                                      << (static_cast<unsigned>(i) *
+                                          static_cast<unsigned>(k));
+    const std::uint64_t prevWeight = std::uint64_t{1}
+                                     << (static_cast<unsigned>(i - 1) *
                                          static_cast<unsigned>(k));
-    const std::int64_t prevWeight = std::int64_t{1}
-                                    << (static_cast<unsigned>(i - 1) *
-                                        static_cast<unsigned>(k));
+    std::uint64_t contribution = 0;
+    bool corrected = false;
+    bool balanced = false;
     if (err > 0) {
       // Missed carry: the local sum is short of +1.
       if (c > 0 && lowC != maskBits(c)) {
         sums[idx] += 1;  // stays within the C-bit group by the guard above
-        traces[idx].corrected = true;
+        corrected = true;
       } else if (r > 0) {
         // Preceding sum is 2^k too low (its carry was dropped): saturating
         // its top R bits towards 1 shrinks the deficit below 2^(k-r).
-        const std::int64_t delta = static_cast<std::int64_t>(
-            (sums[idx - 1] | topRMask) - sums[idx - 1]);
-        traces[idx].errorContribution = -blockWeight + delta * prevWeight;
+        const std::uint64_t delta = (sums[idx - 1] | topRMask) - sums[idx - 1];
+        contribution = delta * prevWeight - blockWeight;
         sums[idx - 1] |= topRMask;
-        traces[idx].balanced = true;
+        balanced = true;
       } else {
-        traces[idx].errorContribution = -blockWeight;
+        contribution = std::uint64_t{0} - blockWeight;
       }
     } else {
       // Spurious carry: the local sum is +1 too high.
       if (c > 0 && lowC != 0) {
         sums[idx] -= 1;
-        traces[idx].corrected = true;
+        corrected = true;
       } else if (r > 0) {
-        const std::int64_t delta = static_cast<std::int64_t>(
-            sums[idx - 1] - (sums[idx - 1] & ~topRMask));
-        traces[idx].errorContribution = blockWeight - delta * prevWeight;
+        const std::uint64_t delta =
+            sums[idx - 1] - (sums[idx - 1] & ~topRMask);
+        contribution = blockWeight - delta * prevWeight;
         sums[idx - 1] &= ~topRMask;
-        traces[idx].balanced = true;
+        balanced = true;
       } else {
-        traces[idx].errorContribution = blockWeight;
+        contribution = blockWeight;
       }
+    }
+    if constexpr (kTraced) {
+      traces[i].corrected = corrected;
+      traces[i].balanced = balanced;
+      traces[i].errorContribution = static_cast<std::int64_t>(contribution);
     }
   }
 

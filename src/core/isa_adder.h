@@ -63,10 +63,12 @@ class IsaAdder {
   explicit IsaAdder(const IsaConfig& cfg);
 
   /// Adds two width-bit unsigned operands; extra high bits are ignored.
+  /// Allocation-free: the per-path state lives on the stack.
   [[nodiscard]] IsaSum add(std::uint64_t a, std::uint64_t b,
                            bool carryIn = false) const;
 
-  /// Like add(), also filling one PathTrace per speculative path.
+  /// Like add(), also filling one PathTrace per speculative path (the
+  /// reference form: same body, with the bookkeeping recorded).
   [[nodiscard]] IsaSum addTraced(std::uint64_t a, std::uint64_t b,
                                  bool carryIn,
                                  std::vector<PathTrace>& traces) const;
@@ -86,6 +88,12 @@ class IsaAdder {
   [[nodiscard]] std::uint64_t mask() const noexcept { return mask_; }
 
  private:
+  /// The speculative (non-exact) adder on masked operands; `traces` holds
+  /// pathCount() entries when kTraced and is unused otherwise.
+  template <bool kTraced>
+  [[nodiscard]] IsaSum addPaths(std::uint64_t a, std::uint64_t b,
+                                bool carryIn, PathTrace* traces) const;
+
   IsaConfig cfg_;
   std::uint64_t mask_;
   std::uint64_t blockMask_;

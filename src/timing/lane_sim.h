@@ -11,20 +11,37 @@
 // activity, the closer the engine gets to W scalar simulations for the
 // price of one.
 //
+// Slot-level evaluation: committing an event (or an input change, or a
+// forceNet clamp) only marks the net's readers in a per-gate dirty list.
+// Once every event of a time slot is committed, each dirty gate is
+// evaluated once on the slot-end values, deduplicated against its last
+// scheduled block and pushed at t + delay. Zero-delay pushes land back in
+// the same slot, so a slot drains until both it and the dirty list are
+// empty. Why this cannot change a sampled value: a gate has one delay, so
+// the events on its output net in slot τ all come from its evaluations in
+// slot τ − d; the last of those already sees the slot-end inputs, and the
+// last write wins. Every slot-end net value is therefore the one a
+// per-event engine reaches, and slot-end values are all that sampling and
+// settlePs observe — only glitches *inside* a slot (several coincident
+// input changes reaching one gate) are no longer committed. Coincident
+// changes grow with the lane count, so the collapse saves the most on
+// the widest blocks.
+//
 // The template parameter is a netlist::LaneBlock; the original 64-lane
 // engine is the `LaneTimedSimulator` alias and stays the canonical
 // reference (it keeps its uint64-word API via `requires` clauses). Wider
 // widths are proven bit-exact against it by slicing blocks into 64-lane
 // sub-runs — see tests/lane_width_test.cpp.
 //
-// Per-lane semantics are bit-exact versus the scalar TimedSimulator: a
-// lane's committed waveform, sampled outputs and settle behavior equal a
-// scalar run fed that lane's input stream (asserted by
-// tests/lane_sim_test.cpp on random netlists and all paper design
-// points). The key argument: when a gate re-evaluates because some lane's
-// input changed, a quiet lane's recomputed bit equals the value it
-// already scheduled — its inputs are unchanged since its own last event —
-// so the extra commit is a per-lane no-op.
+// Per-lane semantics versus the scalar TimedSimulator: a lane's sampled
+// outputs, settle behavior and every slot-end net value equal a scalar run
+// fed that lane's input stream (asserted by tests/lane_sim_test.cpp on
+// random netlists and all paper design points). The scalar engine still
+// commits same-slot glitches, so event and transition *counts* are lower
+// here. When a gate re-evaluates because some lane's input changed, a
+// quiet lane's recomputed bit equals the value it already scheduled — its
+// inputs are unchanged since its own last event — so the extra commit is
+// a per-lane no-op.
 //
 // All lanes advance on one shared time wheel and cursor: clock edges are
 // common instants, and the strictly-before-edge latch semantics of the
@@ -96,6 +113,7 @@ class LaneTimedSimulatorT {
       maxDelay = std::max(maxDelay, d);
     }
     lastSched_.resize(gates_.size() * kWords);
+    dirty_.resize(gates_.size());
     const auto slots =
         std::bit_ceil(static_cast<std::uint64_t>(maxDelay) + 1);
     wheel_.resize(slots);
@@ -105,7 +123,8 @@ class LaneTimedSimulatorT {
 
   /// Applies primary-input words at the current simulation time: kWords
   /// words per primary input (declaration order, input-major), bit L of
-  /// sub-word j = lane 64j+L's value.
+  /// sub-word j = lane 64j+L's value. The readers of changed inputs are
+  /// evaluated when the next advance/settle drains the current slot.
   void applyInputs(std::span<const std::uint64_t> inputWords) {
     if (inputWords.size() != inputNets_.size() * kWords) {
       throw std::invalid_argument(
@@ -120,7 +139,7 @@ class LaneTimedSimulatorT {
         laneTransitions_ +=
             static_cast<std::uint64_t>((old ^ w).popcount());
         storeNet(net, w);
-        scheduleReaders(net, now_);
+        markReaders(net);
       }
     }
   }
@@ -145,9 +164,8 @@ class LaneTimedSimulatorT {
   TimePs settlePs() {
     armBudget();
     TimePs last = now_;
-    while (pending_ > 0) {
-      if (wheel_[cursor_ & wheelMask_].len != 0) last = cursor_;
-      drainSlot(cursor_);
+    while (pending_ > 0 || dirtyLen_ > 0) {
+      if (drainSlot(cursor_)) last = cursor_;
       ++cursor_;
     }
     now_ = std::max(now_, last);
@@ -184,8 +202,10 @@ class LaneTimedSimulatorT {
 
   [[nodiscard]] TimePs nowPs() const noexcept { return now_; }
 
-  /// Committed events since construction (one event may change many
-  /// lanes); laneTransitionsCommitted() counts the per-lane bit flips.
+  /// Committed events since reset (one event may change many lanes);
+  /// laneTransitionsCommitted() counts the per-lane bit flips, input
+  /// changes included. Both count slot-collapsed commits: a glitch inside
+  /// one slot is never committed, so they sit below the scalar engine's.
   [[nodiscard]] std::uint64_t eventsProcessed() const noexcept {
     return eventCount_;
   }
@@ -216,6 +236,8 @@ class LaneTimedSimulatorT {
     }
     for (Slot& slot : wheel_) slot.len = 0;
     pending_ = 0;
+    for (std::uint32_t i = 0; i < dirtyLen_; ++i) gates_[dirty_[i]].dirty = 0;
+    dirtyLen_ = 0;
     now_ = 0;
     cursor_ = 0;
     eventCount_ = 0;
@@ -243,8 +265,8 @@ class LaneTimedSimulatorT {
   /// every 64-lane sub-word alike, so a fault injected "in lane L" exists
   /// in lane L of each sub-block — the convention the defect scan's
   /// stream-chunking relies on. Takes effect immediately at the current
-  /// time: a clamp that changes the net's value schedules its readers
-  /// like any other committed change. Repeated calls accumulate per net.
+  /// time: a clamp that changes the net's value marks its readers like
+  /// any other committed change. Repeated calls accumulate per net.
   void forceNet(netlist::NetId net, std::uint64_t laneMask,
                 std::uint64_t bits) {
     if (net.value >= compiled_->netCount()) {
@@ -274,7 +296,7 @@ class LaneTimedSimulatorT {
     if (!(old == w)) {
       laneTransitions_ += static_cast<std::uint64_t>((old ^ w).popcount());
       storeNet(net.value, w);
-      scheduleReaders(net.value, now_);
+      markReaders(net.value);
     }
   }
 
@@ -300,16 +322,17 @@ class LaneTimedSimulatorT {
   }
 
  private:
-  /// Dense per-gate record: input/output net indices, quantized delay and
-  /// gate kind, packed into 32 bytes so one reader evaluation touches one
-  /// cache line (plus the shared values_ words it gathers).
+  /// Dense per-gate record: input/output net indices, quantized delay,
+  /// gate kind and the dirty mark, packed into 32 bytes so marking and
+  /// evaluating a reader touch one cache line (plus the shared values_
+  /// words it gathers).
   struct GateRec {
     std::array<std::uint32_t, 3> in{};
     std::uint32_t out = 0;
     std::uint32_t delayPs = 0;
-    std::uint32_t kind = 0;  ///< netlist::GateKind
-    std::uint32_t pad0_ = 0;
-    std::uint32_t pad1_ = 0;
+    std::uint32_t kind = 0;   ///< netlist::GateKind
+    std::uint32_t dirty = 0;  ///< 1 while the gate sits in dirty_
+    std::uint32_t pad_ = 0;
   };
   static constexpr TimePs kMaxDelayPs = TimePs{1} << 20;
   static constexpr std::uint64_t kDefaultEventBudget = std::uint64_t{1}
@@ -358,16 +381,27 @@ class LaneTimedSimulatorT {
     ++pending_;
   }
 
-#if defined(__GNUC__) || defined(__clang__)
-  __attribute__((always_inline))
-#endif
-  inline void
-  scheduleReaders(std::uint32_t net, TimePs atTime) {
+  /// Queues every reader of a just-committed net for evaluation at the
+  /// end of the current slot (each gate at most once).
+  inline void markReaders(std::uint32_t net) {
     const std::uint32_t begin = fanoutOffset_[net];
     const std::uint32_t end = fanoutOffset_[net + 1];
     for (std::uint32_t i = begin; i < end; ++i) {
       const std::uint32_t g = readers_[i] >> 3;
-      const GateRec& rec = gates_[g];
+      GateRec& rec = gates_[g];
+      if (rec.dirty != 0) continue;
+      rec.dirty = 1;
+      dirty_[dirtyLen_++] = g;
+    }
+  }
+
+  /// Evaluates every dirty gate once on the current (slot-end) values and
+  /// schedules the changed outputs at t + delay.
+  inline void evaluateDirty(TimePs t) {
+    for (std::uint32_t i = 0; i < dirtyLen_; ++i) {
+      const std::uint32_t g = dirty_[i];
+      GateRec& rec = gates_[g];
+      rec.dirty = 0;
       // Recompute the full W-lane output block. Lanes whose inputs did not
       // change recompute the value they already scheduled, so the dedup
       // below drops pure no-ops and a partially-changed block re-commits
@@ -383,40 +417,49 @@ class LaneTimedSimulatorT {
           Block::load(lastSched_.data() + std::size_t{g} * kWords);
       if (out == last) continue;
       out.store(lastSched_.data() + std::size_t{g} * kWords);
-      pushEvent(wheel_[(atTime + rec.delayPs) & wheelMask_], rec.out, out);
+      pushEvent(wheel_[(t + rec.delayPs) & wheelMask_], rec.out, out);
     }
+    dirtyLen_ = 0;
   }
 
+  /// Commits slot t, then evaluates the gates it (and any input change or
+  /// clamp made at t) dirtied; repeats while zero-delay gates refill the
+  /// slot. Returns whether the slot held any event.
 #if defined(__GNUC__) || defined(__clang__)
   __attribute__((always_inline))
 #endif
-  inline void
+  inline bool
   drainSlot(TimePs t) {
     Slot& slot = wheel_[t & wheelMask_];
-    // Zero-delay gates append to this same slot mid-drain; the index loop
-    // picks those up in schedule order (an append may reallocate the
-    // backing store, so the event is copied out first).
-    for (std::uint32_t i = 0; i < slot.len; ++i) {
-      const SlotEvent e = slot.data[i];
-      // Re-clamp at commit: an event scheduled before a forceNet call
-      // still carries the healthy word.
-      const Block word = clampBlock(e.net, Block::load(e.word.data()));
-      const Block old = loadNet(e.net);
-      if (old == word) continue;
-      storeNet(e.net, word);
-      laneTransitions_ +=
-          static_cast<std::uint64_t>((old ^ word).popcount());
-      if (++eventCount_ > failAt_) [[unlikely]] {
-        throwBudgetExceeded();
+    std::uint32_t i = 0;
+    for (;;) {
+      // Commit phase: nothing is pushed here, so the slot cannot grow.
+      for (; i < slot.len; ++i) {
+        const SlotEvent& e = slot.data[i];
+        // Re-clamp at commit: an event scheduled before a forceNet call
+        // still carries the healthy word.
+        const Block word = clampBlock(e.net, Block::load(e.word.data()));
+        const Block old = loadNet(e.net);
+        if (old == word) continue;
+        storeNet(e.net, word);
+        laneTransitions_ +=
+            static_cast<std::uint64_t>((old ^ word).popcount());
+        if (++eventCount_ > failAt_) [[unlikely]] {
+          throwBudgetExceeded();
+        }
+        markReaders(e.net);
       }
-      scheduleReaders(e.net, t);
+      if (dirtyLen_ == 0) break;
+      evaluateDirty(t);
     }
+    const bool any = slot.len != 0;
     pending_ -= slot.len;
     slot.len = 0;
+    return any;
   }
 
   void runUntil(TimePs horizon) {
-    while (pending_ > 0 && cursor_ < horizon) {
+    while ((pending_ > 0 || dirtyLen_ > 0) && cursor_ < horizon) {
       drainSlot(cursor_);
       ++cursor_;
     }
@@ -445,6 +488,10 @@ class LaneTimedSimulatorT {
   std::span<const std::uint32_t> fanoutOffset_;  // shared CSR (compiled_)
   std::span<const std::uint32_t> readers_;
   std::span<const std::uint32_t> inputNets_;
+  /// Gates marked since the last evaluation, in marking order; holds each
+  /// gate at most once, so it is sized to the gate count up front.
+  std::vector<std::uint32_t> dirty_;
+  std::uint32_t dirtyLen_ = 0;
   std::vector<std::uint64_t> values_;  // indexed by NetId * kWords
   std::vector<Slot> wheel_;
   std::uint32_t wheelMask_ = 0;

@@ -3,7 +3,10 @@
 // properties of the paper's design points.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "core/analysis.h"
 #include "core/isa_adder.h"
@@ -330,6 +333,95 @@ TEST(IsaAdderTest, AnalysisRejectsSpeculateHigh) {
   cfg.speculateHigh = true;
   EXPECT_THROW((void)oisa::core::faultProbability(cfg, 1),
                std::invalid_argument);
+}
+
+/// Operand pairs at the edges of 64-bit arithmetic: sums that wrap the
+/// word, all-ones propagation chains and the top bit alone.
+constexpr std::uint64_t kAll = ~std::uint64_t{0};
+constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
+constexpr std::array<std::array<std::uint64_t, 2>, 8> kWrapOperands = {{
+    {kAll, 1},
+    {kAll, kAll},
+    {kAll, 0},
+    {kTop, kTop},
+    {kTop, kTop - 1},
+    {kTop - 1, 1},
+    {0x5555555555555555ull, 0xaaaaaaaaaaaaaaabull},
+    {0, 0},
+}};
+
+TEST(IsaAdderTest, Width64SingleBlockIsExactAtWrapAround) {
+  // block == width == 64: one path, no speculation, so every compensation
+  // setting and both polarities must reproduce exactAdd bit for bit,
+  // carry-out included, also where a + b + cin wraps the word.
+  for (const int spec : {0, 8}) {
+    for (const auto [corr, red] : {std::pair{0, 0}, std::pair{1, 0},
+                                   std::pair{0, 4}, std::pair{3, 8}}) {
+      for (const bool high : {false, true}) {
+        IsaConfig cfg = makeIsa(64, spec, corr, red, 64);
+        cfg.speculateHigh = high;
+        const IsaAdder isa(cfg);
+        SCOPED_TRACE(cfg.name());
+        for (const auto& [a, b] : kWrapOperands) {
+          for (const bool cin : {false, true}) {
+            const IsaSum exact = isa.exactAdd(a, b, cin);
+            const IsaSum gold = isa.add(a, b, cin);
+            EXPECT_EQ(gold.sum, exact.sum) << a << " + " << b << " + " << cin;
+            EXPECT_EQ(gold.carryOut, exact.carryOut)
+                << a << " + " << b << " + " << cin;
+            std::vector<PathTrace> traces;
+            const IsaSum traced = isa.addTraced(a, b, cin, traces);
+            EXPECT_EQ(traced.sum, exact.sum);
+            EXPECT_EQ(traced.carryOut, exact.carryOut);
+            ASSERT_EQ(traces.size(), 1u);
+            EXPECT_EQ(traces[0].rawSum, exact.sum);
+            EXPECT_EQ(isa.structuralError(a, b, cin), 0);
+          }
+        }
+      }
+    }
+  }
+  const IsaAdder isa(makeIsa(64, 0, 0, 0, 64));
+  EXPECT_EQ(isa.add(kAll, 1).sum, 0u);
+  EXPECT_TRUE(isa.add(kAll, 1).carryOut);
+}
+
+TEST(IsaAdderTest, Width64MultiPathFaultsSumToTheError) {
+  // Width 64 split into paths, down to 1-bit blocks whose top fault weighs
+  // 2^63: the per-path contributions, summed modulo 2^64, equal the
+  // composed structural error, and add() agrees with addTraced().
+  std::mt19937_64 rng(64);
+  std::vector<std::array<std::uint64_t, 2>> operands(kWrapOperands.begin(),
+                                                     kWrapOperands.end());
+  for (int i = 0; i < 200; ++i) operands.push_back({rng(), rng()});
+  for (IsaConfig cfg :
+       {makeIsa(32, 4, 1, 8, 64), makeIsa(16, 2, 0, 4, 64),
+        makeIsa(8, 0, 0, 0, 64), makeIsa(1, 0, 0, 1, 64),
+        makeIsa(1, 1, 1, 0, 64)}) {
+    for (const bool high : {false, true}) {
+      cfg.speculateHigh = high;
+      const IsaAdder isa(cfg);
+      SCOPED_TRACE(cfg.name());
+      for (const auto& [a, b] : operands) {
+        for (const bool cin : {false, true}) {
+          std::vector<PathTrace> traces;
+          const IsaSum traced = isa.addTraced(a, b, cin, traces);
+          const IsaSum gold = isa.add(a, b, cin);
+          EXPECT_EQ(gold.sum, traced.sum);
+          EXPECT_EQ(gold.carryOut, traced.carryOut);
+          std::uint64_t contributions = 0;
+          for (const PathTrace& t : traces) {
+            contributions += static_cast<std::uint64_t>(t.errorContribution);
+          }
+          const std::uint64_t error =
+              gold.value(64) - isa.exactAdd(a, b, cin).value(64);
+          EXPECT_EQ(contributions, error) << a << " + " << b << " + " << cin;
+          EXPECT_EQ(static_cast<std::uint64_t>(isa.structuralError(a, b, cin)),
+                    error);
+        }
+      }
+    }
+  }
 }
 
 // Parameterized sweep: for every paper design, the traced and untraced

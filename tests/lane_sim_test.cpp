@@ -3,13 +3,16 @@
 // lane engine must match 64 independent scalar TimedSimulator runs
 // bit-exactly — per-cycle sampled outputs, settle behavior, final net
 // state — on random netlists, all twelve paper design points and the
-// multiplier ISA; the lane TraceCollector must reproduce the sequential
+// multiplier ISA. Because it evaluates each gate once per time slot, it is
+// also checked on a reconvergent same-slot glitch, zero-delay chains and a
+// mid-run forceNet. The lane TraceCollector must reproduce the sequential
 // collector record for record at any lane count, including deep
 // overclocks that need chunk warm-up cycles. Also covers the shared
 // CompiledNetlist substrate and the bounded-event-budget guard against
 // non-settling/cyclic netlists.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <random>
 #include <stdexcept>
@@ -164,6 +167,216 @@ TEST(LaneSimulatorTest, ExactAgreementOnMultiplierIsa) {
     const TimePs period =
         std::max<TimePs>(1, oisa::timing::quantizeSpanPs(critical * frac));
     expectLaneMatchesScalars(nl, delays, period, 20, 11);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Slot-level evaluation: a gate is evaluated once per slot on slot-end
+// values, so same-slot glitches collapse while every sampled value holds.
+// ---------------------------------------------------------------------------
+
+/// y = XOR(BUF(a), BUF(a)): with equal buffer delays both XOR inputs flip
+/// in one slot, so y never changes.
+Netlist reconvergentXor() {
+  Netlist nl("reconv");
+  const NetId a = nl.input("a");
+  const NetId n1 = nl.gate1(GateKind::Buf, a);
+  const NetId n2 = nl.gate1(GateKind::Buf, a);
+  nl.output("y", nl.gate2(GateKind::Xor2, n1, n2));
+  return nl;
+}
+
+TEST(SlotEvaluationTest, ReconvergentGlitchCollapsesInOneSlot) {
+  const Netlist nl = reconvergentXor();
+  const DelayAnnotation delays(nl, unitLibrary());
+  for (const TimePs period : {TimePs{400}, TimePs{1000}, TimePs{2500}}) {
+    expectLaneMatchesScalars(nl, delays, period, 40, 31);
+  }
+
+  // `a` rises in every lane: the lane engine commits the two buffer
+  // outputs and nothing on y; the scalar engine also commits y's 0->1->0
+  // glitch in the XOR's output slot.
+  LaneTimedSimulator lane(nl, delays);
+  lane.applyInputs(std::vector<std::uint64_t>{~std::uint64_t{0}});
+  (void)lane.settlePs();
+  EXPECT_EQ(lane.eventsProcessed(), 2u);
+  EXPECT_EQ(lane.sampleOutputs(), std::vector<std::uint64_t>{0});
+
+  TimedSimulator scalar(nl, delays);
+  scalar.applyInputs(std::vector<std::uint8_t>{1});
+  (void)scalar.settlePs();
+  EXPECT_EQ(scalar.eventsProcessed(), 4u);
+  EXPECT_EQ(scalar.sampleOutputs(), std::vector<std::uint8_t>{0});
+}
+
+TEST(SlotEvaluationTest, ZeroDelayBufferChainsRefillTheSlot) {
+  // Buffers cost nothing, so every buffer chain commits inside the slot
+  // its driver committed in: the drain must loop until the slot and the
+  // dirty list are both empty.
+  CellLibrary lib = CellLibrary::generic65();
+  lib.cell(GateKind::Buf) = oisa::timing::CellTiming{0.0, 0.0, 1.0};
+
+  // x = XOR(BUF(BUF(a)), b) feeds z = XOR(BUF(BUF(x)), x): z's inputs
+  // change in one slot, through a zero-delay chain that starts mid-drain.
+  Netlist nl("zero_delay_chain");
+  const NetId a = nl.input("a");
+  const NetId b = nl.input("b");
+  const NetId c = nl.input("c");
+  const NetId x = nl.gate2(
+      GateKind::Xor2,
+      nl.gate1(GateKind::Buf, nl.gate1(GateKind::Buf, a)), b);
+  const NetId xd = nl.gate1(GateKind::Buf, nl.gate1(GateKind::Buf, x));
+  const NetId z = nl.gate2(GateKind::Xor2, xd, x);
+  nl.output("z", z);
+  nl.output("w", nl.gate3(GateKind::Mux2, xd, c, nl.gate1(GateKind::Buf, z)));
+  const DelayAnnotation delays(nl, lib);
+  ASSERT_EQ(delays.delayPs(GateId{0}), 0);
+  const double critical = criticalDelayNs(nl, delays);
+  for (const double frac : {0.4, 1.5}) {
+    expectLaneMatchesScalars(
+        nl, delays,
+        std::max<TimePs>(1, oisa::timing::quantizeSpanPs(critical * frac)),
+        40, 17);
+  }
+
+  std::mt19937_64 rng(909);
+  for (int trial = 0; trial < 4; ++trial) {
+    const Netlist rnd = randomNetlist(rng, 10, 70);
+    DelayAnnotation rndDelays(rnd, lib);
+    rndDelays.applyVariation(rng, 0.35);
+    const double crit = criticalDelayNs(rnd, rndDelays);
+    for (const double frac : {0.3, 1.5}) {
+      expectLaneMatchesScalars(
+          rnd, rndDelays,
+          std::max<TimePs>(1, oisa::timing::quantizeSpanPs(crit * frac)), 25,
+          600 + static_cast<std::uint64_t>(trial));
+    }
+  }
+}
+
+TEST(SlotEvaluationTest, MidRunForceMatchesScalarClamp) {
+  // The scalar reference models forceNet structurally: the forced net n
+  // feeds a zero-delay Mux2 selecting a force-value input when a
+  // force-enable input is high, and every reader of n reads the mux
+  // instead. Raising the enable mid-period at the time the lane engine
+  // calls forceNet must give the same sampled outputs and final nets.
+  std::mt19937_64 rng(4242);
+  const Netlist nl = randomNetlist(rng, 10, 80);
+  DelayAnnotation delays(nl, CellLibrary::generic65());
+  delays.applyVariation(rng, 0.35);
+
+  // The forced net: a gate output read by at least two gates and not a
+  // primary output.
+  const auto compiled = CompiledNetlist::compile(nl);
+  NetId forced{};
+  bool found = false;
+  for (std::uint32_t g = 0; g < nl.gateCount() && !found; ++g) {
+    const NetId out = nl.gateAt(GateId{g}).out;
+    const auto pos = nl.primaryOutputs();
+    const bool isOutput = std::find(pos.begin(), pos.end(), out) != pos.end();
+    const auto offsets = compiled->fanoutOffsets();
+    if (!isOutput && offsets[out.value + 1] - offsets[out.value] >= 2) {
+      forced = out;
+      found = true;
+    }
+  }
+  ASSERT_TRUE(found);
+
+  Netlist clamped = nl;
+  const NetId enable = clamped.input("force_en");
+  const NetId value = clamped.input("force_val");
+  const NetId mux = clamped.gate3(GateKind::Mux2, forced, value, enable);
+  const GateId muxGate{static_cast<std::uint32_t>(clamped.gateCount() - 1)};
+  for (std::uint32_t g = 0; g < nl.gateCount(); ++g) {
+    const auto& gate = clamped.gateAt(GateId{g});
+    for (int pin = 0; pin < oisa::netlist::gateArity(gate.kind); ++pin) {
+      if (gate.in[static_cast<std::size_t>(pin)] == forced) {
+        clamped.replaceGateInput(GateId{g}, pin, mux);
+      }
+    }
+  }
+  DelayAnnotation clampedDelays(clamped, CellLibrary::generic65());
+  for (std::uint32_t g = 0; g < nl.gateCount(); ++g) {
+    clampedDelays.setDelayNs(GateId{g}, delays.delayNs(GateId{g}));
+  }
+  clampedDelays.setDelayNs(muxGate, 0.0);
+
+  const std::uint64_t laneMask = rng();
+  const std::uint64_t bits = rng();
+  const TimePs period = std::max<TimePs>(
+      2, oisa::timing::quantizeSpanPs(criticalDelayNs(nl, delays) * 0.6));
+  constexpr int kCycles = 30;
+  constexpr int kForceCycle = 12;
+
+  LaneTimedSimulator lane(compiled, delays);
+  std::vector<TimedSimulator> scalars;
+  scalars.reserve(kLanes);
+  for (std::size_t L = 0; L < kLanes; ++L) {
+    scalars.emplace_back(clamped, clampedDelays);
+  }
+  const std::size_t inputs = nl.primaryInputs().size();
+  std::vector<std::uint64_t> inWords(inputs);
+  std::vector<std::uint8_t> scalarIn(inputs + 2, 0);
+  std::vector<std::uint64_t> laneOut;
+  std::vector<std::uint8_t> scalarOut;
+  bool forcing = false;
+  const auto applyScalars = [&] {
+    for (std::size_t L = 0; L < kLanes; ++L) {
+      for (std::size_t i = 0; i < inputs; ++i) {
+        scalarIn[i] = static_cast<std::uint8_t>((inWords[i] >> L) & 1u);
+      }
+      scalarIn[inputs] =
+          static_cast<std::uint8_t>(forcing && ((laneMask >> L) & 1u) != 0);
+      scalarIn[inputs + 1] = static_cast<std::uint8_t>((bits >> L) & 1u);
+      scalars[L].applyInputs(scalarIn);
+    }
+  };
+  const auto advanceAll = [&](TimePs dt) {
+    lane.advancePs(dt);
+    for (auto& s : scalars) s.advancePs(dt);
+  };
+
+  for (auto& w : inWords) w = rng();
+  lane.applyInputs(inWords);
+  applyScalars();
+  (void)lane.settlePs();
+  for (auto& s : scalars) (void)s.settlePs();
+  for (int t = 0; t < kCycles; ++t) {
+    for (auto& w : inWords) w = rng();
+    lane.applyInputs(inWords);
+    applyScalars();
+    if (t == kForceCycle) {
+      // Mid-period: events already on the wheel for the forced net must
+      // be clamped when they commit.
+      advanceAll(period / 2);
+      lane.forceNet(forced, laneMask, bits);
+      forcing = true;
+      applyScalars();
+      advanceAll(period - period / 2);
+    } else {
+      advanceAll(period);
+    }
+    lane.sampleOutputsInto(laneOut);
+    for (std::size_t L = 0; L < kLanes; ++L) {
+      scalars[L].sampleOutputsInto(scalarOut);
+      for (std::size_t o = 0; o < scalarOut.size(); ++o) {
+        ASSERT_EQ((laneOut[o] >> L) & 1u,
+                  static_cast<std::uint64_t>(scalarOut[o]))
+            << "cycle " << t << " lane " << L << " output " << o;
+      }
+    }
+  }
+
+  // Settled: every net agrees; the forced net's lane value is the mux's.
+  (void)lane.settlePs();
+  for (std::size_t L = 0; L < kLanes; ++L) {
+    (void)scalars[L].settlePs();
+    for (std::uint32_t n = 0; n < nl.netCount(); ++n) {
+      const NetId ref = n == forced.value ? mux : NetId{n};
+      ASSERT_EQ((lane.netWord(NetId{n}) >> L) & 1u,
+                static_cast<std::uint64_t>(scalars[L].netValue(ref)))
+          << "net " << n << " lane " << L;
+    }
   }
 }
 
