@@ -1,12 +1,36 @@
 #include "ml/flat_forest.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
 namespace oisa::ml {
+
+namespace {
+
+/// Packs 64 bytes of 0/1 into a lane mask (byte L -> bit L), eight lanes
+/// per multiply: with byte i of `eight` at bits 8i..8i+7, the factor
+/// moves byte i's bit to bit 56 + i and every other partial product
+/// lands on a distinct lower bit, so nothing carries into the top byte.
+/// Filling bytes as 0/1 first lets the compiler vectorize the compares.
+[[nodiscard]] std::uint64_t packLaneBytes(
+    const std::array<std::uint8_t, 64>& bytes) noexcept {
+  std::uint64_t mask = 0;
+  for (std::size_t group = 0; group < 8; ++group) {
+    std::uint64_t eight = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      eight |= std::uint64_t{bytes[8 * group + i]} << (8 * i);
+    }
+    mask |= ((eight * 0x0102040810204080ull) >> 56) << (8 * group);
+  }
+  return mask;
+}
+
+}  // namespace
 
 double FlatForest::probability(
     std::span<const std::uint8_t> features) const noexcept {
@@ -80,17 +104,83 @@ void FlatForest::accumulateTreeLanes(
 }
 
 std::uint64_t FlatForest::predictWord(
-    std::span<const std::uint64_t> featureWords, double* sums) const noexcept {
-  for (const std::uint32_t root : roots_) {
-    accumulateTreeLanes(root, ~std::uint64_t{0}, featureWords, sums);
+    std::span<const std::uint64_t> featureWords, double* sums,
+    WalkCounts& counts) const noexcept {
+  const std::size_t trees = roots_.size();
+  const double positive = thresholds_.positive;
+  const double negative = thresholds_.negative;
+  if (suffixMax_[0] < negative) {
+    counts.pruned += trees;
+    return 0;
   }
-  const auto count = static_cast<double>(roots_.size());
-  std::uint64_t predictions = 0;
-  for (std::size_t lane = 0; lane < 64; ++lane) {
-    sums[lane] = sums[lane] / count;
-    if (sums[lane] >= 0.5) predictions |= std::uint64_t{1} << lane;
+  std::fill_n(sums, 64, 0.0);
+  std::uint64_t decidedPositive = 0;
+  std::uint64_t open = ~std::uint64_t{0};
+  for (std::size_t t = 0; t < trees; ++t) {
+    accumulateTreeLanes(roots_[t], open, featureWords, sums);
+    ++counts.walked;
+    // Settled lanes (decision rule in the header). After the last tree
+    // every open lane is settled by `sum >= s*` alone.
+    const double rest = t + 1 < trees ? suffixMax_[t + 1] : 0.0;
+    std::array<std::uint8_t, 64> upBytes;
+    std::array<std::uint8_t, 64> downBytes;
+    for (std::size_t lane = 0; lane < 64; ++lane) {
+      upBytes[lane] = sums[lane] >= positive;
+      downBytes[lane] = sums[lane] + rest < negative;
+    }
+    const std::uint64_t up = packLaneBytes(upBytes);
+    const std::uint64_t down = packLaneBytes(downBytes);
+    decidedPositive |= open & up;
+    open &= ~(up | down);
+    if (open == 0) {
+      counts.pruned += trees - 1 - t;
+      break;
+    }
   }
-  return predictions;
+  return decidedPositive;
+}
+
+FlatBankBounds deriveFlatBankBounds(const FlatBankView& bank) {
+  // Maximum leaf probability reachable from each node. Children strictly
+  // follow their parent (validateFlatBank), so one reverse scan sees every
+  // child before its parent, shared (DAG) children included.
+  // Branch-free (leaf and split nodes interleave unpredictably): a leaf
+  // reads its own still-zero slot instead of its unused child offsets.
+  std::vector<float> maxLeaf(bank.nodeCount());
+  for (auto i = static_cast<std::uint32_t>(bank.nodeCount()); i-- > 0;) {
+    const bool leaf = bank.feature[i] < 0;
+    const float children = std::max(maxLeaf[leaf ? i : bank.left[i]],
+                                    maxLeaf[leaf ? i : bank.right[i]]);
+    maxLeaf[i] = leaf ? bank.prob[i] : children;
+  }
+  FlatBankBounds bounds;
+  bounds.suffixMax.resize(bank.roots.size());
+  bounds.thresholds.resize(bank.forestCount());
+  for (std::size_t f = 0; f < bank.forestCount(); ++f) {
+    const std::uint32_t begin = bank.forestBegin[f];
+    const std::uint32_t end = bank.forestBegin[f + 1];
+    double suffix = 0.0;
+    for (std::uint32_t t = end; t-- > begin;) {
+      suffix = static_cast<double>(maxLeaf[bank.roots[t]]) + suffix;
+      bounds.suffixMax[t] = suffix;
+    }
+    // s*: count/2 divides to exactly 0.5; step down while the quotient
+    // still rounds to >= 0.5 (rounded division is monotone, so the
+    // qualifying sums form the interval [s*, inf)).
+    const auto count = static_cast<double>(end - begin);
+    double sStar = count * 0.5;
+    for (double below = std::nextafter(sStar, 0.0); below / count >= 0.5;
+         below = std::nextafter(sStar, 0.0)) {
+      sStar = below;
+    }
+    // (2T+4)u is exact; the subtraction and the product round once each
+    // (at most 1.5u together), leaving negative <= s* (1 - (2T+2)u) as
+    // the header's bound requires.
+    const double shrink =
+        1.0 - static_cast<double>(2 * std::uint64_t{end - begin} + 4) * 0x1p-53;
+    bounds.thresholds[f] = ForestThresholds{sStar, sStar * shrink};
+  }
+  return bounds;
 }
 
 FlatForestBank FlatForestBank::build(std::span<const RandomForest> forests,
@@ -147,6 +237,7 @@ FlatForestBank FlatForestBank::build(std::span<const RandomForest> forests,
     bank.forestBegin_.push_back(
         static_cast<std::uint32_t>(bank.roots_.size()));
   }
+  bank.bounds_ = deriveFlatBankBounds(bank.view());
   return bank;
 }
 
@@ -159,6 +250,7 @@ FlatBankView FlatForestBank::view() const noexcept {
   v.roots = roots_;
   v.forestBegin = forestBegin_;
   v.featureCount = featureCount_;
+  bounds_.attachTo(v);
   return v;
 }
 
@@ -197,7 +289,16 @@ core::Status validateFlatBank(const FlatBankView& bank) {
   }
   for (std::uint32_t i = 0; i < nodes; ++i) {
     const std::int16_t feat = bank.feature[i];
-    if (feat < 0) continue;  // leaf: children unused
+    if (feat < 0) {
+      // Leaf: children unused; the probability must be a probability
+      // (the pruned walk's bounds assume non-negative, finite leaves).
+      const float p = bank.prob[i];
+      if (!(p >= 0.0f && p <= 1.0f)) {
+        return corrupt("node " + std::to_string(i) + " leaf probability " +
+                       std::to_string(p) + " outside [0, 1]");
+      }
+      continue;
+    }
     if (static_cast<std::uint32_t>(feat) >= bank.featureCount) {
       return corrupt("node " + std::to_string(i) + " splits feature " +
                      std::to_string(feat) + " past featureCount " +

@@ -25,6 +25,35 @@
 // probabilities tree by tree in the same order as
 // RandomForest::predictBatch (the explicit-stack traversal of
 // DecisionTree::accumulateLanes, re-rooted on the flat arrays).
+//
+// The masked walk prunes: a lane stops walking trees as soon as its
+// `mean >= 0.5` decision is settled. Every bank carries two derived
+// (never persisted) bound tables, built once by deriveFlatBankBounds
+// when the bank is built or loaded:
+//
+//   suffixMax[t]  double  sum of the per-tree maximum leaf probabilities
+//                         over trees t..last of t's forest
+//   thresholds[f]         per forest: `positive` = s*, the smallest
+//                         double with s*/treeCount >= 0.5, and `negative`
+//                         = s* shrunk by the rounding margin below
+//
+// Decision rule, after the lane's in-order partial sum P over trees
+// 0..t (S = suffixMax[t+1], the r remaining trees, u = 2^-53):
+//   * P >= s*  -> positive. Leaves are >= 0 and rounded addition is
+//     monotone, so the final sum F >= P >= s*; and since rounded
+//     division by the tree count is monotone, F/count >= 0.5 exactly
+//     when F >= s*.
+//   * fl(P + S) < negative -> negative. Each of the r remaining rounded
+//     additions of non-negative terms inflates by at most (1+u), and
+//     S and fl(P + S) each deflate by at most (1-u) per rounding, so
+//     F <= fl(P + S) / (1-u)^(2r+1) <= fl(P + S) / (1 - (2T+1)u) for
+//     a forest of T trees. `negative` is s* (1 - (2T+4)u) formed with
+//     two roundings, so negative <= s* (1 - (2T+2)u) and F < s*.
+// A forest whose suffixMax[0] already fails the negative test returns 0
+// without touching a node (the all-negative constant-label banks), and
+// the lanes still open walk the next tree under their mask. Leaves
+// outside [0, 1] would void the argument, so validateFlatBank rejects
+// them at every trust boundary.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +65,17 @@
 
 namespace oisa::ml {
 
+/// Per-forest decision thresholds on the in-order leaf-probability sum
+/// (see the decision rule above).
+struct ForestThresholds {
+  double positive = 0.0;  ///< s*: sum >= s*  <=>  sum/treeCount >= 0.5
+  double negative = 0.0;  ///< upper bound below s* that proves a lane negative
+};
+
 /// Non-owning structure-of-arrays view over a whole bank arena. Spans
 /// point either at a FlatForestBank's vectors or straight into an mmap-ed
-/// model file (MappedForestBank).
+/// model file (MappedForestBank); the two derived bound tables point at
+/// the owner's FlatBankBounds.
 struct FlatBankView {
   std::span<const std::int16_t> feature;
   std::span<const std::uint32_t> left;
@@ -52,6 +89,11 @@ struct FlatBankView {
   /// Exclusive upper bound on split-feature indices (row length the bank
   /// was trained on).
   std::uint32_t featureCount = 0;
+  /// Derived, one per tree (parallel to `roots`): the suffix sums of the
+  /// per-tree maximum leaf probabilities within the tree's forest.
+  std::span<const double> suffixMax;
+  /// Derived, one per forest.
+  std::span<const ForestThresholds> thresholds;
 
   [[nodiscard]] std::size_t forestCount() const noexcept {
     return forestBegin.empty() ? 0 : forestBegin.size() - 1;
@@ -61,17 +103,47 @@ struct FlatBankView {
   }
 };
 
+/// Owning storage of a bank's derived bound tables.
+struct FlatBankBounds {
+  std::vector<double> suffixMax;
+  std::vector<ForestThresholds> thresholds;
+
+  /// Points `view`'s derived spans at this storage.
+  void attachTo(FlatBankView& view) const noexcept {
+    view.suffixMax = suffixMax;
+    view.thresholds = thresholds;
+  }
+};
+
+/// Computes the derived bound tables of a bank that passed
+/// validateFlatBank: one reverse linear scan for the per-node maximum
+/// reachable leaf (children follow parents, so it stays linear even on
+/// DAG-shaped arenas), then per-forest suffix sums and thresholds.
+[[nodiscard]] FlatBankBounds deriveFlatBankBounds(const FlatBankView& bank);
+
 /// One forest of a flat bank: the arena spans plus this forest's slice of
-/// the root table. Cheap to construct per call; inference-only. Holds the
-/// view by value (it is only spans), so constructing from a temporary
-/// `bank.view()` is safe — the underlying arena must outlive the forest.
+/// the root and bound tables. Cheap to construct per call; inference-only.
+/// Holds the view by value (it is only spans), so constructing from a
+/// temporary `bank.view()` is safe — the underlying arena must outlive
+/// the forest.
 class FlatForest {
  public:
+  /// Tree walks of predictWord calls, summed by the caller: `walked`
+  /// counts lane-masked traversals of one tree for one 64-lane word,
+  /// `pruned` the trees skipped because every lane was already decided.
+  struct WalkCounts {
+    std::uint64_t walked = 0;
+    std::uint64_t pruned = 0;
+  };
+
   FlatForest(const FlatBankView& bank, std::size_t forest) noexcept
       : bank_(bank),
         roots_(bank.roots.subspan(
             bank.forestBegin[forest],
-            bank.forestBegin[forest + 1] - bank.forestBegin[forest])) {}
+            bank.forestBegin[forest + 1] - bank.forestBegin[forest])),
+        suffixMax_(bank.suffixMax.subspan(bank.forestBegin[forest],
+                                          roots_.size())),
+        thresholds_(bank.thresholds[forest]) {}
 
   [[nodiscard]] std::size_t treeCount() const noexcept {
     return roots_.size();
@@ -88,16 +160,18 @@ class FlatForest {
     return probability(features) >= 0.5;
   }
 
-  /// 64-lane masked forest walk: featureWords[f] carries feature f of
-  /// lane L in bit L. Accumulates each lane's leaf probability tree by
-  /// tree into sums[0..63] (caller-provided, NOT cleared here), divides
-  /// by the tree count, and returns the mask of lanes with probability
-  /// >= 0.5 — the same summation order as RandomForest::predictBatch, so
-  /// results match the pointer forests bit for bit. Allocation-free.
-  /// Precondition: treeCount() > 0, sums zero-filled by the caller.
+  /// 64-lane pruned forest walk: featureWords[f] carries feature f of
+  /// lane L in bit L. Returns the mask of lanes whose mean leaf
+  /// probability is >= 0.5, bit for bit the decision of the full in-order
+  /// sum (probability(), RandomForest::predictBatch), while walking each
+  /// tree only for the lanes the decision rule above has not yet settled.
+  /// `sums` is caller scratch for 64 doubles; its contents afterwards are
+  /// unspecified. Adds this call's tree walks to `counts`.
+  /// Allocation-free. Precondition: treeCount() > 0 and the view carries
+  /// its derived bounds.
   [[nodiscard]] std::uint64_t predictWord(
-      std::span<const std::uint64_t> featureWords,
-      double* sums) const noexcept;
+      std::span<const std::uint64_t> featureWords, double* sums,
+      WalkCounts& counts) const noexcept;
 
  private:
   void accumulateTreeLanes(std::uint32_t root, std::uint64_t mask,
@@ -106,6 +180,8 @@ class FlatForest {
 
   FlatBankView bank_;
   std::span<const std::uint32_t> roots_;
+  std::span<const double> suffixMax_;
+  ForestThresholds thresholds_;
 };
 
 /// Owning flat bank: builds the arena from trained pointer forests.
@@ -121,6 +197,7 @@ class FlatForestBank {
   [[nodiscard]] static FlatForestBank build(
       std::span<const RandomForest> forests, std::uint32_t featureCount);
 
+  /// The arena plus its derived bounds (computed by build()).
   [[nodiscard]] FlatBankView view() const noexcept;
   [[nodiscard]] bool empty() const noexcept { return forestBegin_.empty(); }
 
@@ -132,13 +209,15 @@ class FlatForestBank {
   std::vector<std::uint32_t> roots_;
   std::vector<std::uint32_t> forestBegin_;
   std::uint32_t featureCount_ = 0;
+  FlatBankBounds bounds_;
 };
 
 /// Structural validation of a (possibly just-cast) bank view: offset
 /// table shape, root/child bounds, split features within featureCount,
-/// and the children-follow-parent ordering that guarantees acyclic
-/// walks. One linear scan, no allocation — the only per-node work a
-/// loaded bank ever gets. Returns Corruption with a located diagnostic.
+/// the children-follow-parent ordering that guarantees acyclic walks, and
+/// leaf probabilities within [0, 1] (no NaN) as the pruning proof needs.
+/// One linear scan, no allocation. Returns Corruption with a located
+/// diagnostic. The derived bound spans are not inspected.
 [[nodiscard]] core::Status validateFlatBank(const FlatBankView& bank);
 
 }  // namespace oisa::ml

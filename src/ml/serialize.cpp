@@ -231,6 +231,9 @@ core::StatusOr<MappedForestBank> MappedForestBank::parse(
       reinterpret_cast<const float*>(data + l.prob), nodeCount);
   out.view_.featureCount = featureCount;
   if (Status s = validateFlatBank(out.view_); !s.isOk()) return s;
+  out.bounds_ =
+      std::make_shared<const FlatBankBounds>(deriveFlatBankBounds(out.view_));
+  out.bounds_->attachTo(out.view_);
   out.storage_ = std::move(storage);
   out.meta0_ = meta0;
   out.meta1_ = meta1;

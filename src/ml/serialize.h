@@ -9,7 +9,9 @@
 // validateFlatBank — zero per-node parsing; the spans of the returned
 // view point straight into the file bytes. Flipping any byte of a saved
 // bank, or truncating it anywhere, makes loading fail with
-// StatusCode::Corruption.
+// StatusCode::Corruption. The pruning bounds (deriveFlatBankBounds) are
+// not part of the file: the loader derives them after validation, one
+// linear pass, and owns them next to the mapping.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +44,8 @@ void writeFlatBank(std::ostream& os, const FlatBankView& bank,
                                              std::uint32_t meta1 = 0);
 
 /// A loaded v2 bank: owns (or maps) the raw file bytes and exposes a
-/// FlatBankView whose spans point straight into them. Movable and
+/// FlatBankView whose arena spans point straight into them (the derived
+/// bound spans point at the bank's own FlatBankBounds). Movable and
 /// cheaply copyable (shared storage); the view stays valid for the
 /// lifetime of any copy.
 class MappedForestBank {
@@ -74,6 +77,7 @@ class MappedForestBank {
       std::shared_ptr<const char> storage, std::size_t size, bool mapped);
 
   std::shared_ptr<const char> storage_;
+  std::shared_ptr<const FlatBankBounds> bounds_;
   FlatBankView view_;
   std::uint32_t meta0_ = 0;
   std::uint32_t meta1_ = 0;

@@ -17,6 +17,20 @@ namespace oisa::predict {
 using core::Status;
 using core::StatusOr;
 
+namespace {
+
+/// Publishes one call's summed walk counts as the predict.tree_walks /
+/// predict.tree_walks_pruned counters (once per call, never per word).
+void recordWalks(const ml::FlatForest::WalkCounts& walks) noexcept {
+  static obs::Counter& treeWalks = obs::counter("predict.tree_walks");
+  static obs::Counter& treeWalksPruned =
+      obs::counter("predict.tree_walks_pruned");
+  treeWalks.add(walks.walked);
+  treeWalksPruned.add(walks.pruned);
+}
+
+}  // namespace
+
 BitLevelPredictor::BitLevelPredictor(int width,
                                      const PredictorParams& params)
     : params_(params), extractor_(width, params.includeOutputBits) {}
@@ -106,21 +120,20 @@ bool BitLevelPredictor::predictBit(std::span<const std::uint8_t> features,
 
 std::uint64_t BitLevelPredictor::predictBitWord(
     std::span<const std::uint64_t> featureWords, int bit,
-    std::span<double> probabilities, const ml::FlatBankView& flat) const {
+    std::span<double> scratch, const ml::FlatBankView& flat,
+    ml::FlatForest::WalkCounts& walks) const {
   const auto idx = static_cast<std::size_t>(bit);
   switch (params_.model) {
-    case ModelKind::RandomForest: {
-      // The flat walk accumulates into caller-zeroed sums; same summation
-      // order as RandomForest::predictBatch, so the word is bit-identical
-      // to the pointer-forest path.
-      std::fill_n(probabilities.data(), 64, 0.0);
+    case ModelKind::RandomForest:
+      // The pruned flat walk decides each lane exactly as the full
+      // in-order sum of RandomForest::predictBatch would, so the word is
+      // bit-identical to the pointer-forest path.
       return ml::FlatForest(flat, idx).predictWord(featureWords,
-                                                   probabilities.data());
-    }
+                                                   scratch.data(), walks);
     case ModelKind::DecisionTree:
-      return treesOnly_[idx].predictBatch(featureWords, probabilities);
+      return treesOnly_[idx].predictBatch(featureWords, scratch);
     case ModelKind::Majority:
-      return majorities_[idx].predictBatch(featureWords, probabilities);
+      return majorities_[idx].predictBatch(featureWords, scratch);
   }
   return 0;
 }
@@ -225,7 +238,8 @@ void BitLevelPredictor::predictFlipsBlock(
                                     ? flatView()
                                     : ml::FlatBankView{};
   std::array<std::uint64_t, 64> predWords{};
-  std::array<double, 64> probabilities;
+  std::array<double, 64> scratch;
+  ml::FlatForest::WalkCounts walks;
   const std::span<const std::uint64_t> features(featureWords.data(),
                                                 extractor_.featureCount());
   for (int bit = 0; bit < bits; ++bit) {
@@ -234,7 +248,7 @@ void BitLevelPredictor::predictFlipsBlock(
       featureWords[shared] = goldPrevCols[b];
       featureWords[shared + 1] = goldCurCols[b];
     }
-    predWords[b] = predictBitWord(features, bit, probabilities, flat);
+    predWords[b] = predictBitWord(features, bit, scratch, flat, walks);
   }
   // predWords rows are output bits; one transpose turns them into
   // per-lane flip words (bit b of word L = bit b's prediction for lane L).
@@ -244,9 +258,10 @@ void BitLevelPredictor::predictFlipsBlock(
     out[lane].sumFlips = predWords[lane] & (coutBit - 1);
     out[lane].coutFlip = (predWords[lane] & coutBit) != 0;
   }
-  // Serving telemetry: three adds per <=64-record block, never per lane.
+  // Serving telemetry: five adds per <=64-record block, never per lane.
   // Occupancy tracks how full the batch-64 blocks arrive — the request
   // coalescing headroom the future serving layer cares about.
+  recordWalks(walks);
   static obs::Counter& blocksServed = obs::counter("predict.blocks_served");
   static obs::Counter& recordsServed = obs::counter("predict.records_served");
   static obs::Histogram& occupancy = obs::histogram("predict.block_occupancy");
@@ -338,8 +353,10 @@ PredictorEvaluation BitLevelPredictor::evaluate(
                                     ? flatView()
                                     : ml::FlatBankView{};
   std::vector<std::uint64_t> featureWords(extractor_.featureCount());
-  std::vector<std::uint64_t> predWords(static_cast<std::size_t>(bits));
-  std::array<double, 64> probabilities;
+  std::array<std::uint64_t, 64> predWords;
+  std::array<double, 64> scratch;
+  ml::FlatForest::WalkCounts walks;
+  const std::uint64_t coutBit = std::uint64_t{1} << width;
 
   double avpeSum = 0.0;
   for (std::size_t w = 0; w < words; ++w) {
@@ -356,25 +373,25 @@ PredictorEvaluation BitLevelPredictor::evaluate(
         featureWords[shared + 1] = packed.goldCur[b * words + w];
       }
       const std::uint64_t pred =
-          predictBitWord(featureWords, bit, probabilities, flat);
+          predictBitWord(featureWords, bit, scratch, flat, walks);
       predWords[b] = pred;
       // Bit-level accuracy (ABPER numerator): one popcount per 64 cycles.
       wrong[b] += static_cast<std::uint64_t>(
           std::popcount((pred ^ packed.labels[b * words + w]) & active));
     }
+    // predWords rows are output bits; one transpose turns them into
+    // per-lane flip words (bit b of word L = bit b's prediction for lane
+    // L), the predictFlipsBlock layout. Rows past the output bits hold
+    // the previous word's transpose and must be cleared first.
+    std::fill(predWords.begin() + bits, predWords.end(), 0);
+    netlist::transpose64(predWords);
     // Value-level accuracy (AVPE): deduce predicted y_silver from y_gold,
     // over full composed output values (sum plus carry-out), in cycle
     // order.
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       const TraceRecord& cur = testTrace[w * 64 + lane + 1];
-      std::uint64_t sumFlips = 0;
-      for (int bit = 0; bit < width; ++bit) {
-        const std::uint64_t flip =
-            (predWords[static_cast<std::size_t>(bit)] >> lane) & 1u;
-        sumFlips |= flip << bit;
-      }
-      const bool coutFlip =
-          ((predWords[static_cast<std::size_t>(width)] >> lane) & 1u) != 0;
+      const std::uint64_t sumFlips = predWords[lane] & (coutBit - 1);
+      const bool coutFlip = (predWords[lane] & coutBit) != 0;
       const bool predictedCout = cur.goldCout != coutFlip;
       const std::uint64_t predictedSilver =
           (cur.gold ^ sumFlips) |
@@ -406,11 +423,12 @@ PredictorEvaluation BitLevelPredictor::evaluate(
   eval.abper = abperSum / static_cast<double>(bits);
   const std::uint64_t avpeCycles = eval.cycles - eval.avpeSkipped;
   eval.avpe = avpeCycles ? avpeSum / static_cast<double>(avpeCycles) : 0.0;
-  // Two adds per evaluation sweep, outside every packed-word loop.
+  // Four adds per evaluation sweep, outside every packed-word loop.
   static obs::Counter& evaluations = obs::counter("predict.evaluations");
   static obs::Counter& evalRows = obs::counter("predict.eval_rows");
   evaluations.add();
   evalRows.add(eval.cycles);
+  recordWalks(walks);
   return eval;
 }
 

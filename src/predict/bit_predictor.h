@@ -20,8 +20,14 @@
 // — evaluate() and the predictFlipsBlock hot path — walks the flat
 // arrays. predictFlipsBlock scores up to 64 record pairs per call with
 // zero allocation: one packBlock column extraction shared by all output
-// bits, one lane-masked flat walk per bit, one 64x64 transpose back to
-// per-lane flip masks. Banks persist as the binary flat envelope v2
+// bits, one pruned lane-masked flat walk per bit, one 64x64 transpose
+// back to per-lane flip masks (evaluate() gathers its AVPE flips with
+// the same transpose). The pruned walk stops walking a lane once its
+// `mean >= 0.5` decision is settled (decision rule and soundness bound
+// in ml/flat_forest.h), so every prediction is bit-identical to the
+// full in-order sum; a bank whose leaves cannot reach the threshold
+// costs no walk at all. Both paths count their walks and skips as
+// predict.tree_walks / predict.tree_walks_pruned. Banks persist as the binary flat envelope v2
 // (saveFlat/loadFlat, ml/serialize.h), which mmaps straight into the
 // inference arrays.
 #pragma once
@@ -168,12 +174,15 @@ class BitLevelPredictor {
   /// precondition: trained() with pointer models present.
   [[nodiscard]] bool predictBit(std::span<const std::uint8_t> features,
                                 int bit) const noexcept;
-  /// Batched per-bit prediction over one 64-cycle lane word. `flat` is
-  /// the bank view (hoisted by the caller; only read for RandomForest
-  /// kind).
+  /// Batched per-bit prediction over one 64-cycle lane word. `scratch`
+  /// holds 64 doubles of caller scratch (contents unspecified after the
+  /// call). `flat` is the bank view (hoisted by the caller; only read for
+  /// RandomForest kind), whose pruned walk (ml::FlatForest::predictWord)
+  /// adds its tree walks to `walks`.
   [[nodiscard]] std::uint64_t predictBitWord(
       std::span<const std::uint64_t> featureWords, int bit,
-      std::span<double> probabilities, const ml::FlatBankView& flat) const;
+      std::span<double> scratch, const ml::FlatBankView& flat,
+      ml::FlatForest::WalkCounts& walks) const;
   /// Checks that `packed` matches this bank's extractor configuration.
   void validatePacked(const PackedTraceFeatures& packed) const;
   /// Rebuilds flatBank_ from forests_ (RandomForest kind after fit).

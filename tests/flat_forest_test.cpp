@@ -1,16 +1,23 @@
 // Flat forest bank tests: SoA flattening vs pointer forests (bit-exact,
 // on random datasets and on banks trained from real collected traces),
-// the binary envelope v2 (round trips, mmap loads, flip-any-byte /
-// truncate-anywhere corruption), and the batch-64 predictFlipsBlock hot
-// path vs the scalar reference, including the ragged final block.
+// the pruned 64-lane walk vs the full in-order sum at the decision
+// boundary, the binary envelope v2 (round trips, mmap loads,
+// flip-any-byte / truncate-anywhere corruption), and the batch-64
+// predictFlipsBlock hot path vs the scalar reference, including the
+// ragged final block.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <random>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "circuits/synthesis.h"
@@ -160,14 +167,270 @@ TEST(FlatForestTest, PredictWordMatchesScalarLaneForLane) {
       if (rows[lane][f] != 0) featureWords[f] |= std::uint64_t{1} << lane;
     }
   }
-  std::array<double, 64> sums{};
+  std::array<double, 64> scratch;
+  FlatForest::WalkCounts counts;
   for (std::size_t i = 0; i < forests.size(); ++i) {
     const FlatForest flat(bank.view(), i);
-    sums.fill(0.0);
-    const std::uint64_t word = flat.predictWord(featureWords, sums.data());
+    const std::uint64_t word =
+        flat.predictWord(featureWords, scratch.data(), counts);
     for (std::size_t lane = 0; lane < 64; ++lane) {
-      ASSERT_DOUBLE_EQ(sums[lane], forests[i].predictProbability(rows[lane]));
+      // predictWord leaves no probabilities behind (its sums are
+      // scratch); the flat scalar walk carries the exact-probability
+      // check, the word the lane-for-lane decision check.
+      ASSERT_EQ(flat.probability(rows[lane]),
+                forests[i].predictProbability(rows[lane]));
       ASSERT_EQ(((word >> lane) & 1u) != 0, forests[i].predict(rows[lane]));
+    }
+  }
+  EXPECT_EQ(counts.walked + counts.pruned, 3u * 5u);
+}
+
+/// A hand-built bank in which every tree is a complete depth-6 tree
+/// splitting on features 0..5 at depths 0..5, so lane L (feature f =
+/// bit f of L) reaches its own leaf in every tree and each lane's leaf
+/// sequence is set freely: leaves[t][L] is lane L's leaf in tree t.
+struct LaneBank {
+  std::vector<std::uint32_t> forestBegin, roots, left, right;
+  std::vector<std::int16_t> feature;
+  std::vector<float> prob;
+  oisa::ml::FlatBankBounds bounds;
+  FlatBankView view;
+
+  explicit LaneBank(const std::vector<std::array<float, 64>>& leaves) {
+    forestBegin = {0, static_cast<std::uint32_t>(leaves.size())};
+    for (const auto& treeLeaves : leaves) {
+      const auto base = static_cast<std::uint32_t>(feature.size());
+      roots.push_back(base);
+      for (std::uint32_t i = 0; i < 127; ++i) {
+        const bool leaf = i >= 63;
+        feature.push_back(leaf ? std::int16_t{-1}
+                               : static_cast<std::int16_t>(
+                                     std::bit_width(i + 1) - 1));
+        left.push_back(leaf ? 0 : base + 2 * i + 1);
+        right.push_back(leaf ? 0 : base + 2 * i + 2);
+        prob.push_back(0.0f);
+      }
+      for (std::uint32_t lane = 0; lane < 64; ++lane) {
+        std::uint32_t i = 0;
+        for (int depth = 0; depth < 6; ++depth) {
+          i = 2 * i + 1 + ((lane >> depth) & 1u);
+        }
+        prob[base + i] = treeLeaves[lane];
+      }
+    }
+    FlatBankView v;
+    v.forestBegin = forestBegin;
+    v.roots = roots;
+    v.feature = feature;
+    v.left = left;
+    v.right = right;
+    v.prob = prob;
+    v.featureCount = 6;
+    if (!oisa::ml::validateFlatBank(v).isOk()) {
+      throw std::logic_error("LaneBank: invalid hand-built bank");
+    }
+    bounds = oisa::ml::deriveFlatBankBounds(v);
+    bounds.attachTo(v);
+    view = v;
+  }
+  LaneBank(const LaneBank&) = delete;
+  LaneBank& operator=(const LaneBank&) = delete;
+};
+
+/// Feature words of the LaneBank layout: feature f holds bit f of the
+/// lane index.
+std::array<std::uint64_t, 6> laneIndexWords() {
+  std::array<std::uint64_t, 6> words{};
+  for (std::uint32_t lane = 0; lane < 64; ++lane) {
+    for (std::size_t f = 0; f < 6; ++f) {
+      if ((lane >> f) & 1u) words[f] |= std::uint64_t{1} << lane;
+    }
+  }
+  return words;
+}
+
+/// Greedy float leaves whose in-order double sum approaches `target`:
+/// each leaf is the largest float <= min(1, target - partial), so the
+/// chain of leaves resolves ever finer bits until the sum lands on the
+/// target exactly (when floats can express it in `trees` leaves). With
+/// `zerosFirst` the leaves fill the last trees and the first stay 0.
+std::vector<float> leavesToward(double target, std::size_t trees,
+                                bool zerosFirst) {
+  std::vector<float> leaves(trees, 0.0f);
+  double partial = 0.0;
+  for (std::size_t k = 0; k < trees; ++k) {
+    const double want = std::clamp(target - partial, 0.0, 1.0);
+    auto v = static_cast<float>(want);
+    if (static_cast<double>(v) > want) v = std::nextafter(v, 0.0f);
+    leaves[zerosFirst ? trees - 1 - k : k] = v;
+    partial += v;
+  }
+  return leaves;
+}
+
+/// Leaves whose in-order sum rounds up onto s* one addition at a time
+/// while the suffix-bound estimate stays below it: a greedy chain to
+/// s* - 2U (U = the ulp below s*), then two leaves of just over U/2, each
+/// of which rounds the partial sum up by a whole ulp. After the chain,
+/// fl(P + S) = fl(s* - 2U + fl(2a)) = s* - U < s*, so only the rounding
+/// margin keeps the walk from pruning a lane that ends positive. Empty
+/// when the chain needs more than trees - 2 leaves.
+std::vector<float> roundingUpOnto(double sStar, std::size_t trees) {
+  if (trees < 3) return {};
+  const double ulp = sStar - std::nextafter(sStar, 0.0);
+  std::vector<float> leaves = leavesToward(sStar - 2.0 * ulp, trees - 2,
+                                           /*zerosFirst=*/false);
+  double partial = 0.0;
+  for (const float v : leaves) partial += v;
+  if (partial != sStar - 2.0 * ulp) return {};
+  const auto a = static_cast<float>(ulp * (0.5 + 0x1p-10));
+  leaves.push_back(a);
+  leaves.push_back(a);
+  return leaves;
+}
+
+/// In-order double sum of a lane's leaves (the full, unpruned sum).
+double inOrderSum(const std::vector<float>& leaves) {
+  double sum = 0.0;
+  for (const float v : leaves) sum += v;
+  return sum;
+}
+
+TEST(FlatForestTest, PrunedDecisionsMatchFullSums) {
+  const auto words = laneIndexWords();
+  std::array<double, 64> scratch;
+  for (const std::size_t trees : {1u, 2u, 3u, 7u, 10u, 65u}) {
+    const double count = static_cast<double>(trees);
+    // s* as the oracle defines it: the smallest sum whose mean rounds to
+    // >= 0.5.
+    double sStar = count * 0.5;
+    while (std::nextafter(sStar, 0.0) / count >= 0.5) {
+      sStar = std::nextafter(sStar, 0.0);
+    }
+    const double below = std::nextafter(sStar, 0.0);
+    const double above = std::nextafter(sStar, 2.0 * sStar);
+    ASSERT_LT(below / count, 0.5);
+    // Lane leaf sequences: exact ties at 0.5, 0/1 leaves, and sums that
+    // land on s* and one double ulp either side, front- and back-loaded.
+    std::vector<std::vector<float>> lanes;
+    lanes.push_back(std::vector<float>(trees, 0.5f));
+    lanes.push_back(std::vector<float>(trees, 0.0f));
+    lanes.push_back(std::vector<float>(trees, 1.0f));
+    for (std::size_t phase = 0; phase < 2; ++phase) {
+      std::vector<float> alternating(trees);
+      for (std::size_t t = 0; t < trees; ++t) {
+        alternating[t] = (t + phase) % 2 == 0 ? 1.0f : 0.0f;
+      }
+      lanes.push_back(alternating);
+    }
+    for (const float half : {std::nextafter(0.5f, 0.0f),
+                             std::nextafter(0.5f, 1.0f)}) {
+      lanes.push_back(std::vector<float>(trees, half));
+    }
+    // The negative-test threshold depends on the tree count only.
+    const double negative =
+        LaneBank(std::vector<std::array<float, 64>>(trees)).view.thresholds[0]
+            .negative;
+    const std::size_t boundaryBegin = lanes.size();
+    for (const double target :
+         {sStar, below, above, negative, std::nextafter(negative, 0.0),
+          std::nextafter(negative, sStar)}) {
+      for (const bool zerosFirst : {false, true}) {
+        lanes.push_back(leavesToward(target, trees, zerosFirst));
+      }
+    }
+    const std::vector<float> roundsUp = roundingUpOnto(sStar, trees);
+    if (trees >= 10) {
+      ASSERT_FALSE(roundsUp.empty()) << "trees " << trees;
+      ASSERT_EQ(inOrderSum(roundsUp), sStar) << "trees " << trees;
+    }
+    if (!roundsUp.empty()) lanes.push_back(roundsUp);
+
+    // Banks: one "loose" bank mixing every sequence (the 0/1 lanes make
+    // each tree's max leaf 1), and per boundary sequence one "tight" bank
+    // holding only it and zero lanes, so the suffix bound equals the
+    // lane's own remaining leaves and the rounding margin alone decides
+    // whether a boundary lane is pruned.
+    std::vector<std::vector<std::vector<float>>> banks;
+    banks.emplace_back();
+    for (std::size_t lane = 0; lane < 64; ++lane) {
+      banks.back().push_back(lanes[lane % lanes.size()]);
+    }
+    for (std::size_t k = boundaryBegin; k < lanes.size(); ++k) {
+      banks.emplace_back(64, std::vector<float>(trees, 0.0f));
+      for (std::size_t lane = 0; lane < 32; ++lane) {
+        banks.back()[lane] = lanes[k];
+      }
+    }
+    std::size_t onStar = 0, onBelow = 0, onAbove = 0;
+    for (const auto& laneLeaves : banks) {
+      std::vector<std::array<float, 64>> leaves(trees);
+      for (std::size_t t = 0; t < trees; ++t) {
+        for (std::size_t lane = 0; lane < 64; ++lane) {
+          leaves[t][lane] = laneLeaves[lane][t];
+        }
+      }
+      const LaneBank bank(leaves);
+      const FlatForest forest(bank.view, 0);
+      FlatForest::WalkCounts counts;
+      const std::uint64_t word =
+          forest.predictWord(words, scratch.data(), counts);
+      EXPECT_EQ(counts.walked + counts.pruned, trees);
+      std::array<std::uint8_t, 6> row;
+      for (std::uint32_t lane = 0; lane < 64; ++lane) {
+        for (std::size_t f = 0; f < 6; ++f) {
+          row[f] = static_cast<std::uint8_t>((lane >> f) & 1u);
+        }
+        const double sum = inOrderSum(laneLeaves[lane]);
+        ASSERT_EQ(forest.probability(row), sum / count);
+        ASSERT_EQ(((word >> lane) & 1u) != 0, sum / count >= 0.5)
+            << "trees " << trees << " lane " << lane << " sum " << sum;
+        onStar += sum == sStar;
+        onBelow += sum == below;
+        onAbove += sum == above;
+      }
+    }
+    // Coverage: s* is always reachable; one ulp above needs two leaves;
+    // one ulp below needs enough leaves to resolve the double ulp.
+    EXPECT_GT(onStar, 0u) << "trees " << trees;
+    if (trees >= 2) {
+      EXPECT_GT(onAbove, 0u) << "trees " << trees;
+    }
+    if (trees >= 7) {
+      EXPECT_GT(onBelow, 0u) << "trees " << trees;
+    }
+  }
+
+  // Random trained banks across the same tree counts.
+  for (const std::size_t trees : {1u, 2u, 3u, 7u, 10u, 65u}) {
+    constexpr std::size_t kFeatures = 10;
+    ForestParams params;
+    params.treeCount = trees;
+    params.tree.maxDepth = 6;
+    std::vector<RandomForest> forests(3);
+    for (std::size_t i = 0; i < forests.size(); ++i) {
+      forests[i].fit(randomDataset(kFeatures, 300, trees * 7 + i), params,
+                     trees + i);
+    }
+    const FlatForestBank bank = FlatForestBank::build(forests, kFeatures);
+    std::mt19937_64 rng(trees);
+    std::vector<std::uint64_t> featureWords(kFeatures);
+    std::vector<std::uint8_t> row(kFeatures);
+    for (int rep = 0; rep < 20; ++rep) {
+      for (auto& w : featureWords) w = rng();
+      for (std::size_t i = 0; i < forests.size(); ++i) {
+        const FlatForest flat(bank.view(), i);
+        FlatForest::WalkCounts counts;
+        const std::uint64_t word =
+            flat.predictWord(featureWords, scratch.data(), counts);
+        for (std::size_t lane = 0; lane < 64; ++lane) {
+          for (std::size_t f = 0; f < kFeatures; ++f) {
+            row[f] = static_cast<std::uint8_t>((featureWords[f] >> lane) & 1u);
+          }
+          ASSERT_EQ(((word >> lane) & 1u) != 0, flat.probability(row) >= 0.5)
+              << "trees " << trees << " forest " << i << " lane " << lane;
+        }
+      }
     }
   }
 }
@@ -235,6 +498,20 @@ TEST(FlatForestTest, ValidateRejectsStructuralViolations) {
     EXPECT_EQ(oisa::ml::validateFlatBank(a.view(8)).code(),
               StatusCode::Corruption);
   }
+  // Leaf probabilities outside [0, 1] (or NaN) would void the pruned
+  // walk's bounds: rejected with the offending node located.
+  for (const float bad : {-0.25f, 1.5f, std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    auto a = copyArrays();
+    std::size_t leaf = 0;
+    while (a.feature[leaf] >= 0) ++leaf;
+    a.prob[leaf] = bad;
+    const Status status = oisa::ml::validateFlatBank(a.view(8));
+    EXPECT_EQ(status.code(), StatusCode::Corruption) << bad;
+    EXPECT_NE(status.toString().find("node " + std::to_string(leaf) + " leaf"),
+              std::string::npos)
+        << status.toString();
+  }
 }
 
 TEST(EnvelopeV2Test, RoundTripsThroughBufferAndFile) {
@@ -269,6 +546,13 @@ TEST(EnvelopeV2Test, RoundTripsThroughBufferAndFile) {
     ASSERT_TRUE(std::ranges::equal(v.left, w.left));
     ASSERT_TRUE(std::ranges::equal(v.right, w.right));
     ASSERT_TRUE(std::ranges::equal(v.prob, w.prob));
+    // The derived bounds are recomputed on load, identically.
+    ASSERT_TRUE(std::ranges::equal(v.suffixMax, w.suffixMax));
+    ASSERT_EQ(v.thresholds.size(), w.thresholds.size());
+    for (std::size_t f = 0; f < v.thresholds.size(); ++f) {
+      ASSERT_EQ(v.thresholds[f].positive, w.thresholds[f].positive);
+      ASSERT_EQ(v.thresholds[f].negative, w.thresholds[f].negative);
+    }
   }
 }
 
