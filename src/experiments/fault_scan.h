@@ -9,9 +9,14 @@
 //     the synthesized netlist simulated against the experiment workload
 //     through the PPSFP engine (64 patterns per sweep, fault dropping);
 //  2. a timed defect phase: a sample of detected stem-fault classes is
-//     clamped into the 64-lane timed engine and the *defective* design is
+//     clamped into the lane engine and the *defective* design is
 //     re-measured under overclocked sampling, yielding the E_joint shift
-//     a defect adds on top of the healthy structural+timing error.
+//     a defect adds on top of the healthy structural+timing error. One
+//     timed stream is materialized per design and replayed by one
+//     TraceCollector with the 64-stream reference schedule
+//     (experiments/trace_collector.h), healthy and once per defect; each
+//     run folds its records into the E_joint accumulator in draw order,
+//     so rows are byte-identical at any lane width.
 //
 // Rows emit like every other experiment (ASCII table + CSV via
 // bench/fault_coverage.cpp).
@@ -57,6 +62,8 @@ struct FaultScanRow {
 
 /// Runs the scan over every design; one row per design, grid-scheduled
 /// like the other experiment sweeps (bit-identical at any thread count).
+/// Throws std::invalid_argument for a design that does not follow the
+/// adder port convention (TraceCollector's check).
 [[nodiscard]] std::vector<FaultScanRow> runFaultErrorScan(
     const std::vector<circuits::SynthesizedDesign>& designs,
     const FaultScanOptions& options);

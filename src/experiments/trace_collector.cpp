@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "circuits/isa_netlist.h"
+#include "fault/timed_fault.h"
 #include "netlist/bitops.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -25,6 +26,21 @@ TraceCollector::TraceCollector(const circuits::SynthesizedDesign& design,
           std::max<std::size_t>(maxLanes == 0 ? sampler_->lanes() : maxLanes,
                                 1),
           sampler_->lanes())) {
+  // The input packer and the output gather assume the adder port
+  // convention (a0..aN-1, b0..bN-1, cin; s0..sN-1, cout); reject anything
+  // else (e.g. a multiplier ISA) rather than reading past the port words.
+  const int width = design.config.width;
+  if (width < 1 || width > 64 ||
+      compiled_->inputNets().size() != static_cast<std::size_t>(2 * width + 1) ||
+      compiled_->outputNets().size() != static_cast<std::size_t>(width + 1)) {
+    throw std::invalid_argument(
+        "TraceCollector: design '" + design.config.name() +
+        "' does not follow the adder port convention (expected " +
+        std::to_string(2 * width + 1) + " primary inputs and " +
+        std::to_string(width + 1) + " outputs, got " +
+        std::to_string(compiled_->inputNets().size()) + " and " +
+        std::to_string(compiled_->outputNets().size()) + ")");
+  }
   // Warm-up bound: a latched output depends on primary-input values within
   // one maximum output path delay D before its edge. With settle + W
   // replayed cycles ahead of a chunk, all input samples a recorded cycle
@@ -40,28 +56,40 @@ TraceCollector::TraceCollector(const circuits::SynthesizedDesign& design,
   }
 }
 
-std::size_t TraceCollector::lanesFor(std::uint64_t cycles) const noexcept {
-  // Every chunk must hold at least warm-up + 1 cycles so its settle vector
-  // exists inside the stream; degenerate runs collapse to fewer lanes.
-  const auto perLane = static_cast<std::uint64_t>(warmUp_) + 1;
-  const std::uint64_t lanes = cycles / perLane;
+std::size_t TraceCollector::chunksPerStream(
+    std::uint64_t records, std::size_t streams) const noexcept {
+  // A chunk shorter than warm-up + 1 cycles replays more than it records;
+  // short streams collapse to fewer chunks.
+  const std::uint64_t longest = (records + streams - 1) / streams;
+  const std::uint64_t chunks =
+      longest / (static_cast<std::uint64_t>(warmUp_) + 1);
   return static_cast<std::size_t>(
-      std::clamp<std::uint64_t>(lanes, 1, maxLanes_));
+      std::clamp<std::uint64_t>(chunks, 1, maxLanes_ / streams));
 }
 
 predict::Trace TraceCollector::collect(Workload& workload,
                                        std::uint64_t cycles) {
-  // Materialize the stream once: stimuli[0] is the settled reset vector,
-  // stimuli[t + 1] drives recorded cycle t — the exact draw sequence of
-  // the sequential collector, so workload state evolves identically.
-  std::vector<Stimulus> stimuli(cycles + 1);
-  for (auto& s : stimuli) s = workload.next();
+  // One stream: draws[0] is the settled reset vector and draws[t + 1]
+  // drives recorded cycle t — the exact draw sequence of the sequential
+  // collector, so workload state evolves identically.
+  std::vector<Stimulus> draws(cycles + 1);
+  for (auto& s : draws) s = workload.next();
+  predict::Trace trace = goldRecords(draws, 1);
+  replay(draws, 1, trace);
+  return trace;
+}
 
-  const int width = design_.config.width;
-  predict::Trace trace(cycles);
-  for (std::uint64_t t = 0; t < cycles; ++t) {
-    const Stimulus& stim = stimuli[t + 1];
-    predict::TraceRecord& rec = trace[t];
+predict::Trace TraceCollector::goldRecords(std::span<const Stimulus> draws,
+                                           std::size_t streams) const {
+  if (streams == 0 || streams > draws.size()) {
+    throw std::invalid_argument(
+        "TraceCollector::goldRecords: need 1..draws streams");
+  }
+  predict::Trace trace(draws.size() - streams);
+  const obs::ObsSpan span("trace.gold", "core", "records", trace.size());
+  for (std::size_t m = 0; m < trace.size(); ++m) {
+    const Stimulus& stim = draws[streams + m];
+    predict::TraceRecord& rec = trace[m];
     rec.a = stim.a;
     rec.b = stim.b;
     rec.carryIn = stim.carryIn;
@@ -73,171 +101,121 @@ predict::Trace TraceCollector::collect(Workload& workload,
     rec.gold = gold.sum;
     rec.goldCout = gold.carryOut;
   }
-  if (cycles == 0) return trace;
-
-  // The lane path needs the adder port convention (2W+1 inputs, W+1
-  // outputs) to fit one 64x64 output transpose per sweep; anything else —
-  // and explicit --lanes=1 style requests — takes the scalar loop.
-  const std::size_t lanes = lanesFor(cycles);
-  const bool adderPorts =
-      width <= 63 &&
-      compiled_->inputNets().size() ==
-          static_cast<std::size_t>(2 * width + 1) &&
-      compiled_->outputNets().size() == static_cast<std::size_t>(width + 1);
-  // Engine counters are drained here, at the collect boundary — one span
-  // and two counter adds per collect, never inside the per-cycle or
-  // per-word loops (the instrumentation-cost contract micro_obs gates).
-  const obs::ObsSpan span("trace.collect", "sim", "cycles", cycles);
-  static obs::Counter& eventsCommitted = obs::counter("sim.events_committed");
-  static obs::Counter& laneTransitions = obs::counter("sim.lane_transitions");
-  static obs::Counter& collects = obs::counter("sim.collects");
-  const std::uint64_t events0 = sampler_->simulator().eventsProcessed();
-  const std::uint64_t lanes0 = sampler_->simulator().laneTransitionsCommitted();
-  if (lanes <= 1 || !adderPorts) {
-    fillSilverScalar(stimuli, trace);
-  } else {
-    fillSilverLane(stimuli, trace, lanes);
-  }
-  collects.add();
-  eventsCommitted.add(sampler_->simulator().eventsProcessed() - events0);
-  laneTransitions.add(sampler_->simulator().laneTransitionsCommitted() -
-                      lanes0);
   return trace;
 }
 
-void TraceCollector::fillSilverScalar(std::span<const Stimulus> stimuli,
-                                      predict::Trace& trace) {
-  const int width = design_.config.width;
-  timing::TimedSimulator sim(compiled_, design_.delays);
-  std::vector<std::uint8_t> inputs;
-  std::vector<std::uint8_t> outputs;
-  circuits::packOperandsInto(stimuli[0].a, stimuli[0].b, stimuli[0].carryIn,
-                             width, inputs);
-  sim.applyInputs(inputs);
-  (void)sim.settlePs();
-  for (std::size_t t = 0; t < trace.size(); ++t) {
-    const Stimulus& stim = stimuli[t + 1];
-    circuits::packOperandsInto(stim.a, stim.b, stim.carryIn, width, inputs);
-    sim.applyInputs(inputs);
-    sim.advancePs(periodPs_);
-    sim.sampleOutputsInto(outputs);
-    trace[t].silver = circuits::unpackSum(outputs, width);
-    trace[t].silverCout = circuits::unpackCarryOut(outputs, width);
+void TraceCollector::replay(std::span<const Stimulus> draws,
+                            std::size_t streams, predict::Trace& trace,
+                            const fault::Fault* defect,
+                            std::uint64_t defectIndex) {
+  if (streams == 0 || maxLanes_ % streams != 0) {
+    throw std::invalid_argument(
+        "TraceCollector::replay: " + std::to_string(streams) +
+        " streams do not divide " + std::to_string(maxLanes_) + " lanes");
   }
-  // The scalar path's wheel engine is local to this fill; credit its
-  // event total to the same counter the lane path feeds.
-  static obs::Counter& eventsCommitted = obs::counter("sim.events_committed");
-  eventsCommitted.add(sim.eventsProcessed());
-}
-
-void TraceCollector::fillSilverLane(std::span<const Stimulus> stimuli,
-                                    predict::Trace& trace,
-                                    std::size_t lanes) {
-  const std::size_t kWords = sampler_->wordsPerNet();
-  const auto width = static_cast<std::size_t>(design_.config.width);
+  if (draws.size() != trace.size() + streams) {
+    throw std::invalid_argument(
+        "TraceCollector::replay: draws must be the records plus one settle "
+        "vector per stream");
+  }
   const std::size_t n = trace.size();
-  const auto wu = static_cast<std::size_t>(warmUp_);
-  const std::uint64_t sumMask = (std::uint64_t{1} << width) - 1;
+  if (n == 0) return;
 
-  // Contiguous chunks, sizes differing by at most one. Lane L replays
-  // stimulus indices settle(L) .. start(L) + len(L): a settle on the
-  // vector ahead of its warm-up window, wu discarded cycles, then its
-  // recorded range. Lanes with shorter schedules idle (inputs frozen,
-  // settled, zero events) at the *start*, so every lane finishes on the
-  // final sweep and the per-sweep bookkeeping stays uniform. The same
-  // argument covers every lane width: each record's value depends only on
-  // its own chunk's replay, so the chunk count (64 or 512) never shows up
-  // in the trace — only in the wall time.
-  const std::size_t base = n / lanes;
-  const std::size_t rem = n % lanes;
-  std::vector<std::size_t> start(lanes);  // first recorded cycle index
-  std::vector<std::size_t> len(lanes);
-  std::vector<std::size_t> warm(lanes);   // per-lane warm-up (clamped)
-  std::size_t steps = 0;                  // sweeps needed (max over lanes)
-  for (std::size_t L = 0, c = 0; L < lanes; ++L) {
-    start[L] = c;
-    len[L] = base + (L < rem ? 1 : 0);
-    c += len[L];
-    warm[L] = std::min(wu, start[L]);
-    steps = std::max(steps, warm[L] + len[L]);
-  }
+  // Engine counters are drained here, at the replay boundary — one span
+  // and three counter adds per replay, never inside the per-cycle or
+  // per-word loops (the instrumentation-cost contract micro_obs gates).
+  const obs::ObsSpan span("trace.collect", "sim", "streams", streams,
+                          "defect", defectIndex);
+  static obs::Counter& eventsCommitted = obs::counter("sim.events_committed");
+  static obs::Counter& laneTransitions = obs::counter("sim.lane_transitions");
+  static obs::Counter& collects = obs::counter("sim.collects");
+
+  const int width = design_.config.width;
+  const std::size_t kWords = sampler_->wordsPerNet();
+  const auto wu = static_cast<std::size_t>(warmUp_);
+  const std::size_t chunks = chunksPerStream(n, streams);
+  const std::size_t lanes = streams * chunks;
+
+  // Stream l holds records l, S + l, 2S + l, ...; its chunks are
+  // contiguous, sizes differing by at most one, and chunk j runs on lane
+  // S*j + l. Lane L replays its stream's stimuli from settle(L) through
+  // start(L) + len(L): a settle on the vector ahead of its warm-up window,
+  // warm(L) discarded cycles, then its recorded range. Lanes with shorter
+  // schedules idle (inputs frozen, settled, zero events) at the *start*,
+  // so every lane finishes on the final sweep and the per-sweep
+  // bookkeeping stays uniform. Each record's value depends only on its
+  // own chunk's replay, so the chunk count never shows up in the trace —
+  // only in the wall time.
   std::vector<std::size_t> idle(lanes);
+  std::vector<std::size_t> warm(lanes);   // per-lane warm-up (clamped)
+  std::vector<std::size_t> draw(lanes);   // draw index now on the lane
+  std::vector<std::size_t> len(lanes);
+  std::size_t steps = 0;                  // sweeps needed (max over lanes)
+  for (std::size_t l = 0; l < streams; ++l) {
+    const std::size_t streamLen = (n + streams - 1 - l) / streams;
+    for (std::size_t j = 0, start = 0; j < chunks; ++j) {
+      const std::size_t L = streams * j + l;
+      len[L] = streamLen / chunks + (j < streamLen % chunks ? 1 : 0);
+      warm[L] = std::min(wu, start);
+      draw[L] = (start - warm[L]) * streams + l;  // the chunk's settle
+      start += len[L];
+      steps = std::max(steps, warm[L] + len[L]);
+    }
+  }
   for (std::size_t L = 0; L < lanes; ++L) {
     idle[L] = steps - warm[L] - len[L];
   }
 
-  // Per-lane operand state (held constant while a lane idles) and the
-  // lane-major input assembly: one 64x64 transpose per operand per
-  // 64-lane sub-block per sweep turns the row stimuli into the
-  // per-primary-input words the engine consumes (sub-word j of input i
-  // carries lanes [64j, 64j + 64)).
-  std::vector<std::uint64_t> curA(sampler_->lanes(), 0);
-  std::vector<std::uint64_t> curB(sampler_->lanes(), 0);
-  std::vector<std::uint64_t> cinWords(kWords, 0);
-  std::array<std::uint64_t, 64> aM{};
-  std::array<std::uint64_t, 64> bM{};
-  std::array<std::uint64_t, 64> outM{};
-  const std::size_t subBlocks = (lanes + 63) / 64;
-  std::vector<std::uint64_t> inWords((2 * width + 1) * kWords, 0);
-  std::vector<std::uint64_t> outWords;
-  const auto assembleInputs = [&] {
-    for (std::size_t sb = 0; sb < subBlocks; ++sb) {
-      std::copy_n(curA.begin() + static_cast<std::ptrdiff_t>(sb * 64), 64,
-                  aM.begin());
-      std::copy_n(curB.begin() + static_cast<std::ptrdiff_t>(sb * 64), 64,
-                  bM.begin());
-      netlist::transpose64(aM);
-      netlist::transpose64(bM);
-      for (std::size_t i = 0; i < width; ++i) {
-        inWords[i * kWords + sb] = aM[i];
-        inWords[(width + i) * kWords + sb] = bM[i];
-      }
-      inWords[2 * width * kWords + sb] = cinWords[sb];
-    }
-  };
-  const auto setLane = [&](std::size_t L, const Stimulus& s) {
-    curA[L] = s.a;
-    curB[L] = s.b;
-    const std::uint64_t bit = std::uint64_t{1} << (L % 64);
-    std::uint64_t& w = cinWords[L / 64];
-    w = s.carryIn ? (w | bit) : (w & ~bit);
-  };
+  timing::AnyLaneSimulator& sim = sampler_->simulator();
+  sim.clearNetForces();
+  sim.reset();
+  if (defect != nullptr) fault::injectStuckAt(sim, *defect);
 
-  sampler_->simulator().reset();
-  for (std::size_t L = 0; L < lanes; ++L) {
-    setLane(L, stimuli[start[L] - warm[L]]);  // chunk's settle vector
-  }
-  assembleInputs();
+  std::vector<Stimulus> cur(lanes);
+  std::vector<std::uint64_t> inWords(
+      static_cast<std::size_t>(2 * width + 1) * kWords);
+  std::vector<std::uint64_t> outWords;
+  std::array<std::uint64_t, 64> sM{};
+  for (std::size_t L = 0; L < lanes; ++L) cur[L] = draws[draw[L]];
+  packStimulusWords(cur, width, kWords, inWords);
   sampler_->initialize(inWords);
 
-  for (std::size_t j = 0; j < steps; ++j) {
+  const std::size_t subBlocks = (lanes + 63) / 64;
+  for (std::size_t s = 0; s < steps; ++s) {
     for (std::size_t L = 0; L < lanes; ++L) {
-      if (j >= idle[L]) {
-        setLane(L, stimuli[start[L] - warm[L] + 1 + (j - idle[L])]);
+      if (s >= idle[L]) {
+        draw[L] += streams;
+        cur[L] = draws[draw[L]];
       }
     }
-    assembleInputs();
+    packStimulusWords(cur, width, kWords, inWords);
     sampler_->stepInto(inWords, outWords);
     // Output words are lane-major (sub-word sb of word o = output o
-    // across lanes [64sb, 64sb + 64)); one transpose per sub-block yields
-    // each lane's packed output value in its own row.
+    // across lanes [64sb, 64sb + 64)); one transpose of the sum words per
+    // sub-block yields each lane's sum in its own row, and the carry-out
+    // is read from its own word, so width 64 needs no 65th row.
     for (std::size_t sb = 0; sb < subBlocks; ++sb) {
-      for (std::size_t o = 0; o <= width; ++o) {
-        outM[o] = outWords[o * kWords + sb];
+      for (int o = 0; o < width; ++o) {
+        sM[static_cast<std::size_t>(o)] =
+            outWords[static_cast<std::size_t>(o) * kWords + sb];
       }
-      std::fill(outM.begin() + static_cast<std::ptrdiff_t>(width + 1),
-                outM.end(), 0);
-      netlist::transpose64(outM);
+      std::fill(sM.begin() + width, sM.end(), 0);
+      netlist::transpose64(sM);
+      const std::uint64_t coutWord =
+          outWords[static_cast<std::size_t>(width) * kWords + sb];
       const std::size_t laneEnd = std::min<std::size_t>(lanes - sb * 64, 64);
       for (std::size_t l = 0; l < laneEnd; ++l) {
         const std::size_t L = sb * 64 + l;
-        if (j < idle[L] + warm[L]) continue;  // idling or warming up
-        const std::size_t rec = start[L] + (j - idle[L] - warm[L]);
-        trace[rec].silver = outM[l] & sumMask;
-        trace[rec].silverCout = ((outM[l] >> width) & 1u) != 0;
+        if (s < idle[L] + warm[L]) continue;  // idling or warming up
+        predict::TraceRecord& rec = trace[draw[L] - streams];
+        rec.silver = sM[l];
+        rec.silverCout = ((coutWord >> l) & 1u) != 0;
       }
     }
   }
+  collects.add();
+  eventsCommitted.add(sim.eventsProcessed());
+  laneTransitions.add(sim.laneTransitionsCommitted());
 }
 
 CollectedTrace TraceCollector::collectPacked(

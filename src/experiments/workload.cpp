@@ -1,5 +1,6 @@
 #include "experiments/workload.h"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 #include <string>
@@ -110,6 +111,34 @@ void packStimulusBlock(std::span<const Stimulus> stims, int width,
         bM[static_cast<std::size_t>(i)];
   }
   inputWords[static_cast<std::size_t>(2 * width)] = cinWord;
+}
+
+void packStimulusWords(std::span<const Stimulus> stims, int width,
+                       std::size_t wordsPerNet,
+                       std::span<std::uint64_t> inputWords) {
+  constexpr std::size_t kLanes = 64;
+  std::array<std::uint64_t, 2 * kLanes + 1> sub{};
+  const auto inputs = static_cast<std::size_t>(2 * width + 1);
+  if (width < 1 || inputs > sub.size() ||
+      inputWords.size() != inputs * wordsPerNet ||
+      stims.size() > kLanes * wordsPerNet) {
+    throw std::invalid_argument(
+        "packStimulusWords: stimuli or input words do not fit the adder "
+        "port convention at this lane width");
+  }
+  for (std::size_t j = 0; j < wordsPerNet; ++j) {
+    const std::size_t first = j * kLanes;
+    if (first < stims.size()) {
+      packStimulusBlock(
+          stims.subspan(first, std::min(kLanes, stims.size() - first)), width,
+          std::span(sub.data(), inputs));
+    } else {
+      std::fill_n(sub.begin(), inputs, 0);
+    }
+    for (std::size_t i = 0; i < inputs; ++i) {
+      inputWords[i * wordsPerNet + j] = sub[i];
+    }
+  }
 }
 
 }  // namespace oisa::experiments

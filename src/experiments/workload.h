@@ -91,4 +91,15 @@ class SparseToggleWorkload final : public Workload {
 void packStimulusBlock(std::span<const Stimulus> stims, int width,
                        std::span<std::uint64_t> inputWords);
 
+/// packStimulusBlock over a multi-word lane engine: stimulus k drives
+/// lane k, i.e. bit k % 64 of sub-word k / 64 of every primary input
+/// (`inputWords` holds `wordsPerNet` words per input, input-major).
+/// 64-stimulus sub-blocks with no stimulus are zeroed. `inputWords` must
+/// span (2*width + 1) * wordsPerNet words and `stims` at most 64 *
+/// wordsPerNet. The one packer of the PPSFP pattern source and the timed
+/// replay.
+void packStimulusWords(std::span<const Stimulus> stims, int width,
+                       std::size_t wordsPerNet,
+                       std::span<std::uint64_t> inputWords);
+
 }  // namespace oisa::experiments

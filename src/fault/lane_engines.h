@@ -86,6 +86,7 @@ class LaneSimulatorAdapter final : public timing::AnyLaneSimulator {
                 std::uint64_t bits) override {
     sim_.forceNet(net, laneMask, bits);
   }
+  void clearNetForces() override { sim_.clearNetForces(); }
   [[nodiscard]] std::uint64_t eventsProcessed() const noexcept override {
     return sim_.eventsProcessed();
   }

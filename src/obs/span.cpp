@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -58,7 +59,8 @@ ThreadTraceState& threadTraceState() noexcept {
 
 void pushEvent(const char* name, const char* cat, std::uint64_t tsUs,
                std::uint64_t durUs, std::uint32_t depth, const char* argKey,
-               std::uint64_t argValue, char phase) noexcept {
+               std::uint64_t argValue, const char* argKey2,
+               std::uint64_t argValue2, char phase) noexcept {
   TraceRing* ring = gRing.load(std::memory_order_acquire);
   if (ring == nullptr) return;
   TraceEvent ev;
@@ -71,6 +73,8 @@ void pushEvent(const char* name, const char* cat, std::uint64_t tsUs,
   ev.depth = depth;
   ev.argKey = argKey;
   ev.argValue = argValue;
+  ev.argKey2 = argKey2;
+  ev.argValue2 = argValue2;
   ev.phase = phase;
   (void)ring->tryPush(ev);  // full ring => counted drop, never a stall
 }
@@ -167,13 +171,16 @@ std::uint64_t traceDropped() noexcept {
 }
 
 ObsSpan::ObsSpan(const char* name, const char* cat, const char* argKey,
-                 std::uint64_t argValue) noexcept {
+                 std::uint64_t argValue, const char* argKey2,
+                 std::uint64_t argValue2) noexcept {
   if (!gTracing.load(std::memory_order_relaxed)) return;
   armed_ = true;
   name_ = name;
   cat_ = cat;
   argKey_ = argKey;
   argValue_ = argValue;
+  argKey2_ = argKey2;
+  argValue2_ = argValue2;
   ThreadTraceState& state = threadTraceState();
   depth_ = state.depth;
   if (state.depth < ThreadTraceState::kMaxStack) {
@@ -194,12 +201,13 @@ ObsSpan::~ObsSpan() {
     }
   }
   pushEvent(name_, cat_, startUs_, end > startUs_ ? end - startUs_ : 0,
-            depth_, argKey_, argValue_, 'X');
+            depth_, argKey_, argValue_, argKey2_, argValue2_, 'X');
 }
 
 void traceInstant(const char* name, const char* cat) noexcept {
   if (!gTracing.load(std::memory_order_relaxed)) return;
-  pushEvent(name, cat, nowUs(), 0, threadTraceState().depth, nullptr, 0, 'i');
+  pushEvent(name, cat, nowUs(), 0, threadTraceState().depth, nullptr, 0,
+            nullptr, 0, 'i');
 }
 
 std::string drainTraceJson() {
@@ -228,10 +236,12 @@ std::string drainTraceJson() {
     out += ", \"pid\": " + std::to_string(pid) +
            ", \"tid\": " + std::to_string(ev.tid) + ", \"args\": {\"depth\": " +
            std::to_string(ev.depth);
-    if (ev.argKey != nullptr) {
+    for (const auto& [key, value] : {std::pair{ev.argKey, ev.argValue},
+                                     std::pair{ev.argKey2, ev.argValue2}}) {
+      if (key == nullptr) continue;
       out += ", \"";
-      appendJsonEscaped(out, ev.argKey);
-      out += "\": " + std::to_string(ev.argValue);
+      appendJsonEscaped(out, key);
+      out += "\": " + std::to_string(value);
     }
     out += "}}";
   }

@@ -43,8 +43,10 @@ struct TraceEvent {
   std::uint64_t durUs = 0;  ///< span duration in µs
   std::uint32_t tid = 0;    ///< dense per-thread id (order of first span)
   std::uint32_t depth = 0;  ///< nesting depth at open (0 = top level)
-  const char* argKey = nullptr;  ///< optional single argument, nullptr = none
+  const char* argKey = nullptr;  ///< optional argument, nullptr = none
   std::uint64_t argValue = 0;
+  const char* argKey2 = nullptr;  ///< optional second argument
+  std::uint64_t argValue2 = 0;
   char phase = 'X';  ///< Chrome phase: 'X' complete span, 'i' instant
 };
 
@@ -109,7 +111,14 @@ class ObsSpan {
   /// `argKey` (a literal) attaches one numeric argument to the event,
   /// e.g. ObsSpan("cell", "grid", "cell", cellIndex).
   ObsSpan(const char* name, const char* cat, const char* argKey,
-          std::uint64_t argValue) noexcept;
+          std::uint64_t argValue) noexcept
+      : ObsSpan(name, cat, argKey, argValue, nullptr, 0) {}
+
+  /// Two numeric arguments, e.g. ObsSpan("trace.collect", "sim",
+  /// "streams", 64, "defect", 3).
+  ObsSpan(const char* name, const char* cat, const char* argKey,
+          std::uint64_t argValue, const char* argKey2,
+          std::uint64_t argValue2) noexcept;
 
   ObsSpan(const ObsSpan&) = delete;
   ObsSpan& operator=(const ObsSpan&) = delete;
@@ -122,6 +131,8 @@ class ObsSpan {
   const char* cat_ = nullptr;
   const char* argKey_ = nullptr;
   std::uint64_t argValue_ = 0;
+  const char* argKey2_ = nullptr;
+  std::uint64_t argValue2_ = 0;
   std::uint32_t depth_ = 0;
   bool armed_ = false;
 };

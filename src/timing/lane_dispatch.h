@@ -35,6 +35,8 @@ class AnyLaneSimulator {
   /// (matches LaneTimedSimulatorT::forceNet).
   virtual void forceNet(netlist::NetId net, std::uint64_t laneMask,
                         std::uint64_t bits) = 0;
+  /// Drops every net force (reset() keeps them).
+  virtual void clearNetForces() = 0;
   [[nodiscard]] virtual std::uint64_t eventsProcessed() const noexcept = 0;
   [[nodiscard]] virtual std::uint64_t laneTransitionsCommitted()
       const noexcept = 0;

@@ -6,8 +6,10 @@
 // multiplier ISA. Because it evaluates each gate once per time slot, it is
 // also checked on a reconvergent same-slot glitch, zero-delay chains and a
 // mid-run forceNet. The lane TraceCollector must reproduce the sequential
-// collector record for record at any lane count, including deep
-// overclocks that need chunk warm-up cycles. Also covers the shared
+// collector record for record at any lane count, including one lane, a
+// width-64 adder and deep overclocks that need chunk warm-up cycles, and
+// its 64-stream defect replay must equal the one-chunk-per-stream
+// reference schedule, healthy and defective. Also covers the shared
 // CompiledNetlist substrate and the bounded-event-budget guard against
 // non-settling/cyclic netlists.
 #include <gtest/gtest.h>
@@ -24,9 +26,12 @@
 #include "core/isa_multiplier.h"
 #include "experiments/trace_collector.h"
 #include "experiments/workload.h"
+#include "fault/fault_universe.h"
+#include "fault/timed_fault.h"
 #include "netlist/batch_evaluator.h"
 #include "netlist/compiled_netlist.h"
 #include "netlist/gate.h"
+#include "obs/metrics.h"
 #include "timing/cell_library.h"
 #include "timing/delay_annotation.h"
 #include "timing/event_sim.h"
@@ -484,26 +489,144 @@ TEST(LaneTraceCollectorTest, BitIdenticalAtAnyLaneCount) {
     auto wl = oisa::experiments::makeWorkload("uniform", 32, 5);
     return collector.collect(*wl, 300);
   };
-  const auto one = collectAt(1);  // scalar path
+  const auto one = collectAt(1);  // one chunk on one lane
+  auto scalarWl = oisa::experiments::makeWorkload("uniform", 32, 5);
+  expectTracesEqual(one, oisa::experiments::collectTraceScalar(
+                             design, period, *scalarWl, 300));
   expectTracesEqual(collectAt(7), one);
   expectTracesEqual(collectAt(64), one);
 }
 
+TEST(LaneTraceCollectorTest, MatchesScalarOnWidth64Adder) {
+  // Width 64: the sum fills the whole gathered word and the carry-out is
+  // read from its own output word.
+  oisa::circuits::SynthesisOptions options;
+  options.relaxSlack = true;
+  const auto design = oisa::circuits::synthesize(
+      oisa::core::makeIsa(16, 2, 1, 4, 64), CellLibrary::generic65(),
+      options);
+  for (const auto& [period, deep] :
+       {std::pair{oisa::experiments::overclockedPeriodNs(0.3, 15.0), false},
+        std::pair{design.criticalDelayNs * 0.35, true}}) {
+    SCOPED_TRACE("period " + std::to_string(period));
+    oisa::experiments::TraceCollector collector(design, period);
+    if (deep) {
+      ASSERT_GE(collector.warmUpCycles(), 1);
+    }
+    auto scalarWl = oisa::experiments::makeWorkload("uniform", 64, 41);
+    auto laneWl = oisa::experiments::makeWorkload("uniform", 64, 41);
+    const auto scalar = oisa::experiments::collectTraceScalar(
+        design, period, *scalarWl, 700);
+    const auto lane = collector.collect(*laneWl, 700);
+    expectTracesEqual(lane, scalar);
+    const auto timingErrors = std::count_if(
+        lane.begin(), lane.end(), [](const oisa::predict::TraceRecord& r) {
+          return r.silver != r.gold || r.silverCout != r.goldCout;
+        });
+    EXPECT_GT(timingErrors, 0);
+  }
+}
+
+TEST(LaneTraceCollectorTest, DefectReplayMatchesOneChunkPerStream) {
+  // The defect scan's schedule: 64 interleaved streams, chunked across the
+  // engine's full width, must equal the 64-lane reference schedule (one
+  // chunk per stream), healthy and with a stuck-at stem clamped in, for
+  // unequal streams, empty chunks and warm-up replay.
+  constexpr std::size_t kStreams = 64;
+  const auto design = testDesign(8, 2, 1, 4);
+  for (const auto& [period, deep] :
+       {std::pair{oisa::experiments::overclockedPeriodNs(0.3, 15.0), false},
+        std::pair{design.criticalDelayNs * 0.35, true}}) {
+    oisa::experiments::TraceCollector wide(design, period);
+    oisa::experiments::TraceCollector reference(design, period, kStreams);
+    if (deep) {
+      ASSERT_GE(wide.warmUpCycles(), 1);
+    }
+    const oisa::fault::FaultUniverse universe(wide.compiled());
+    const auto defects =
+        oisa::fault::selectTimedFaults(universe.collapsed(), 2);
+    ASSERT_EQ(defects.size(), 2u);
+    for (const std::uint64_t cycles : {1u, 63u, 65u, 777u}) {
+      SCOPED_TRACE(std::to_string(cycles) + " cycles, period " +
+                   std::to_string(period));
+      auto wl = oisa::experiments::makeWorkload("uniform", 32, 17);
+      std::vector<oisa::experiments::Stimulus> draws(kStreams + cycles);
+      for (auto& d : draws) d = wl->next();
+      const auto gold = wide.goldRecords(draws, kStreams);
+      ASSERT_EQ(gold.size(), cycles);
+      EXPECT_EQ(gold.front().a, draws[kStreams].a);
+      const auto replayBoth = [&](const oisa::fault::Fault* defect) {
+        auto got = gold;
+        auto want = gold;
+        wide.replay(draws, kStreams, got, defect);
+        reference.replay(draws, kStreams, want, defect);
+        expectTracesEqual(got, want);
+        return got;
+      };
+      const auto healthy = replayBoth(nullptr);
+      bool anyDefectShows = false;
+      for (const auto& f : defects) {
+        const auto faulty = replayBoth(&f);
+        for (std::size_t m = 0; m < faulty.size(); ++m) {
+          anyDefectShows = anyDefectShows ||
+                           faulty[m].silver != healthy[m].silver ||
+                           faulty[m].silverCout != healthy[m].silverCout;
+        }
+      }
+      if (cycles >= 65) {
+        EXPECT_TRUE(anyDefectShows);
+      }
+      // Forces never leak into the next run on the same sampler.
+      expectTracesEqual(replayBoth(nullptr), healthy);
+    }
+  }
+}
+
+TEST(LaneTraceCollectorTest, RejectsNonAdderPortsAndNonDividingStreams) {
+  const auto design = testDesign(8, 2, 1, 4);
+  oisa::experiments::TraceCollector seven(
+      design, oisa::experiments::overclockedPeriodNs(0.3, 15.0), 7);
+  std::vector<oisa::experiments::Stimulus> draws(64 + 10);
+  auto trace = seven.goldRecords(draws, 64);
+  EXPECT_THROW(seven.replay(draws, 64, trace), std::invalid_argument);
+  EXPECT_THROW(seven.replay(draws, 0, trace), std::invalid_argument);
+  EXPECT_THROW((void)seven.goldRecords(draws, 0), std::invalid_argument);
+  auto shortTrace = seven.goldRecords(draws, 1);
+  shortTrace.pop_back();
+  EXPECT_THROW(seven.replay(draws, 1, shortTrace), std::invalid_argument);
+
+  // A multiplier netlist behind an adder config breaks the port
+  // convention the stimulus packer and the output gather assume.
+  auto multiplier = design;
+  multiplier.netlist = oisa::circuits::buildMultiplierNetlist(
+      oisa::core::MultiplierConfig::make(8, 8, 2, 1, 4));
+  multiplier.delays =
+      DelayAnnotation(multiplier.netlist, CellLibrary::generic65());
+  EXPECT_THROW(oisa::experiments::TraceCollector(multiplier, 1.0),
+               std::invalid_argument);
+}
+
 TEST(LaneTraceCollectorTest, CollectorReuseIsDeterministic) {
   // One collector instance across repeated collects (the runner's usage):
-  // reset() must restore pristine state.
+  // reset() must restore pristine state, and each collect credits its own
+  // events to sim.events_committed.
   const auto design = testDesign(8, 2, 1, 4);
   oisa::experiments::TraceCollector collector(
       design, oisa::experiments::overclockedPeriodNs(0.3, 15.0));
+  oisa::obs::Counter& events = oisa::obs::counter("sim.events_committed");
+  const std::uint64_t events0 = events.value();
   auto first = [&] {
     auto wl = oisa::experiments::makeWorkload("uniform", 32, 21);
     return collector.collect(*wl, 200);
   }();
+  const std::uint64_t events1 = events.value();
   auto second = [&] {
     auto wl = oisa::experiments::makeWorkload("uniform", 32, 21);
     return collector.collect(*wl, 200);
   }();
   expectTracesEqual(second, first);
+  EXPECT_GT(events1 - events0, 0u);
+  EXPECT_EQ(events.value() - events1, events1 - events0);
 }
 
 TEST(LaneTraceCollectorTest, PackedEmissionMatchesPackTrace) {

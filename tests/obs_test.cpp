@@ -175,6 +175,7 @@ TEST_F(ObsTest, SpansRecordNameCategoryDurationAndNesting) {
   {
     const obs::ObsSpan outer("outer", "test");
     const obs::ObsSpan inner("inner", "test", "cells", 42);
+    const obs::ObsSpan pair("pair", "test", "streams", 64, "defect", 3);
   }
   obs::traceInstant("marker", "test");
   const std::string doc = obs::drainTraceJson();
@@ -188,6 +189,8 @@ TEST_F(ObsTest, SpansRecordNameCategoryDurationAndNesting) {
   ASSERT_NE(outerPos, std::string::npos);
   EXPECT_LT(innerPos, outerPos);
   EXPECT_NE(doc.find("\"cells\": 42"), std::string::npos);
+  EXPECT_NE(doc.find("\"depth\": 2, \"streams\": 64, \"defect\": 3}"),
+            std::string::npos);
   EXPECT_NE(doc.find("\"depth\": 1"), std::string::npos);
   EXPECT_NE(doc.find("\"name\": \"marker\""), std::string::npos);
   EXPECT_NE(doc.find("\"s\": \"t\""), std::string::npos);
