@@ -5,6 +5,8 @@
 //
 // Usage: ablation_predictor [--train-cycles=N] [--test-cycles=N]
 //                           [--cpr=15] [--seed=S] [--csv=path]
+#include <cstdint>
+
 #include "experiments/runner.h"
 
 #include "bench_common.h"
@@ -28,23 +30,34 @@ int main(int argc, char** argv) {
   options.testCycles = args.getU64("test-cycles", 3000);
   options.run.seed = args.getU64("seed", 42);
 
+  // The baselines are ForestParams points (ml/random_forest.h): a decision
+  // tree is one unbootstrapped tree scoring every feature per split, the
+  // majority vote that tree at depth 0.
+  ml::ForestParams forest;
+  ml::ForestParams tree;
+  tree.treeCount = 1;
+  tree.bootstrap = false;
+  tree.tree.featuresPerSplit = SIZE_MAX;
+  ml::ForestParams majority = tree;
+  majority.tree.maxDepth = 0;
+
   struct Variant {
     const char* label;
-    predict::ModelKind model;
+    ml::ForestParams model;
     bool outputBits;
   };
   const Variant variants[] = {
-      {"random-forest", predict::ModelKind::RandomForest, true},
-      {"decision-tree", predict::ModelKind::DecisionTree, true},
-      {"majority", predict::ModelKind::Majority, true},
-      {"rf-no-output-bits", predict::ModelKind::RandomForest, false},
+      {"random-forest", forest, true},
+      {"decision-tree", tree, true},
+      {"majority", majority, true},
+      {"rf-no-output-bits", forest, false},
   };
 
   std::cout << "== Ablation: predictor family and features @ " << cprs[0]
             << "% CPR ==\n\n";
   experiments::Table table({"design", "model", "abper", "avpe"});
   for (const Variant& variant : variants) {
-    options.predictor.model = variant.model;
+    options.predictor.forest = variant.model;
     options.predictor.includeOutputBits = variant.outputBits;
     const auto rows = runPredictionEvaluation(designs, cprs, options);
     for (const auto& row : rows) {

@@ -8,8 +8,10 @@
 //   1. the packed popcount trainer must grow node arrays identical to the
 //      retained row-scan reference trainer (fitReference) for every tree of
 //      every per-bit forest, and
-//   2. the 64-lane batched forest inference must match the scalar
-//      per-row walk lane for lane on every test cycle and output bit, and
+//   2. the 64-lane pruned flat walk (FlatForest::predictWord over
+//      FlatForestBank::build of the reference forests) must match the
+//      scalar pointer-forest walk lane for lane on every test cycle and
+//      output bit, and
 //   3. the batched evaluate() metrics must equal the scalar per-cycle
 //      pipeline's ABPER/AVPE bit for bit.
 //
@@ -30,6 +32,7 @@
 #include <vector>
 
 #include "experiments/cli.h"
+#include "ml/flat_forest.h"
 #include "ml/random_forest.h"
 #include "predict/bit_predictor.h"
 #include "predict/features.h"
@@ -177,13 +180,17 @@ int main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  // Correctness gate 2: batched inference == scalar walk, lane for lane,
-  // on every test cycle and output bit.
+  // Correctness gate 2: the flat bank's batched walk == the pointer
+  // forests' scalar walk, lane for lane, on every test cycle and output
+  // bit.
   // -------------------------------------------------------------------
   const predict::PackedTraceFeatures packedTest = fx.packTrace(testTrace);
   {
+    const ml::FlatForestBank refBank = ml::FlatForestBank::build(
+        refForests, static_cast<std::uint32_t>(fx.featureCount()));
+    ml::FlatForest::WalkCounts walks;
     std::vector<std::uint64_t> featureWords(fx.featureCount());
-    std::array<double, 64> probs{};
+    std::array<double, 64> sums{};
     std::vector<std::uint8_t> row(fx.featureCount());
     const std::size_t shared = packedTest.sharedCount;
     for (std::size_t w = 0; w < packedTest.wordCount; ++w) {
@@ -198,8 +205,9 @@ int main(int argc, char** argv) {
             packedTest.goldPrev[b * packedTest.wordCount + w];
         featureWords[shared + 1] =
             packedTest.goldCur[b * packedTest.wordCount + w];
-        const std::uint64_t batch =
-            refForests[b].predictBatch(featureWords, probs);
+        const std::uint64_t batch = ml::FlatForest(refBank.view(), b)
+                                        .predictWord(featureWords,
+                                                     sums.data(), walks);
         for (std::size_t lane = 0; lane < lanes; ++lane) {
           const std::size_t t = w * 64 + lane + 1;
           fx.extract(testTrace[t - 1], testTrace[t], bit, row);

@@ -259,11 +259,18 @@ std::vector<PredictionRow> runPredictionEvaluation(
                                            cprPercents, options.run);
   fp.mix(options.trainCycles);
   fp.mix(options.testCycles);
-  fp.mix(static_cast<std::uint64_t>(options.predictor.model));
   fp.mix(std::uint64_t{options.predictor.includeOutputBits ? 1u : 0u});
   fp.mix(options.predictor.seed);
-  fp.mix(static_cast<std::uint64_t>(options.predictor.forest.treeCount));
-  fp.mix(static_cast<std::uint64_t>(options.predictor.forest.tree.maxDepth));
+  // Every ForestParams field: they alone tell the ablation kinds apart (a
+  // decision tree is a 1-tree forest without bootstrap), so a resume must
+  // never adopt a cell trained under any other value.
+  const ml::ForestParams& forest = options.predictor.forest;
+  fp.mix(static_cast<std::uint64_t>(forest.treeCount));
+  fp.mix(std::uint64_t{forest.bootstrap ? 1u : 0u});
+  fp.mix(static_cast<std::uint64_t>(forest.tree.maxDepth));
+  fp.mix(static_cast<std::uint64_t>(forest.tree.minSamplesSplit));
+  fp.mix(static_cast<std::uint64_t>(forest.tree.minSamplesLeaf));
+  fp.mix(static_cast<std::uint64_t>(forest.tree.featuresPerSplit));
   CampaignCheckpoint ckpt(options.run.checkpoint, fp.digest(), points);
   const auto sweep = [&](std::size_t point) {
     const circuits::SynthesizedDesign& design =

@@ -2,10 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <stdexcept>
-#include <vector>
 
 namespace oisa::ml {
 
@@ -21,33 +18,6 @@ class BinaryClassifier {
   /// Predicted probability of the positive class in [0, 1].
   [[nodiscard]] virtual double predictProbability(
       std::span<const std::uint8_t> features) const = 0;
-
-  /// Batched inference over 64 feature rows at once. featureWords[f]
-  /// carries feature f of lane L in bit L (the column-major packed layout
-  /// of ml::PackedView); `probabilities` receives the 64 per-lane
-  /// probabilities and the returned word has bit L set when lane L is
-  /// predicted positive. Lane results equal the scalar paths bit for bit.
-  /// The default unpacks lanes through the scalar predictProbability();
-  /// word-parallel substrates (DecisionTree, RandomForest) override it.
-  [[nodiscard]] virtual std::uint64_t predictBatch(
-      std::span<const std::uint64_t> featureWords,
-      std::span<double> probabilities) const {
-    if (probabilities.size() < 64) {
-      throw std::invalid_argument(
-          "BinaryClassifier::predictBatch: need 64 probability slots");
-    }
-    std::vector<std::uint8_t> row(featureWords.size());
-    std::uint64_t predictions = 0;
-    for (std::size_t lane = 0; lane < 64; ++lane) {
-      for (std::size_t f = 0; f < row.size(); ++f) {
-        row[f] = static_cast<std::uint8_t>((featureWords[f] >> lane) & 1u);
-      }
-      const double p = predictProbability(row);
-      probabilities[lane] = p;
-      if (p >= 0.5) predictions |= std::uint64_t{1} << lane;
-    }
-    return predictions;
-  }
 };
 
 }  // namespace oisa::ml

@@ -1,7 +1,6 @@
 #include "ml/decision_tree.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <numeric>
 #include <span>
@@ -464,93 +463,12 @@ double DecisionTree::predictProbability(
   if (nodes_.empty()) {
     throw std::logic_error("DecisionTree: predict before fit");
   }
-  return probabilityUnchecked(features);
-}
-
-double DecisionTree::probabilityUnchecked(
-    std::span<const std::uint8_t> features) const noexcept {
   std::uint32_t idx = 0;
   while (nodes_[idx].feature >= 0) {
     const auto feat = static_cast<std::size_t>(nodes_[idx].feature);
     idx = features[feat] ? nodes_[idx].right : nodes_[idx].left;
   }
   return nodes_[idx].probability;
-}
-
-std::uint64_t DecisionTree::predictBatch(
-    std::span<const std::uint64_t> featureWords,
-    std::span<double> probabilities) const {
-  if (nodes_.empty()) {
-    throw std::logic_error("DecisionTree: predict before fit");
-  }
-  if (probabilities.size() < 64) {
-    throw std::invalid_argument(
-        "DecisionTree::predictBatch: need 64 probability slots");
-  }
-  std::fill_n(probabilities.data(), 64, 0.0);
-  accumulateBatch(featureWords, probabilities.data());
-  std::uint64_t predictions = 0;
-  for (std::size_t lane = 0; lane < 64; ++lane) {
-    if (probabilities[lane] >= 0.5) predictions |= std::uint64_t{1} << lane;
-  }
-  return predictions;
-}
-
-void DecisionTree::accumulateBatch(std::span<const std::uint64_t> featureWords,
-                                   double* sums) const noexcept {
-  accumulateLanes(featureWords, 0, ~std::uint64_t{0}, sums);
-}
-
-void DecisionTree::accumulateLanes(std::span<const std::uint64_t> featureWords,
-                                   std::uint32_t idx, std::uint64_t mask,
-                                   double* sums) const noexcept {
-  // Lane-mask traversal: each (node, mask) pair splits its lanes by the
-  // feature word and follows only populated sides, so one walk serves all
-  // 64 lanes. Pending right branches live on a fixed-size explicit stack
-  // sized past any grown tree's depth; a deeper tree would spill into
-  // recursion.
-  struct Frame {
-    std::uint32_t idx;
-    std::uint64_t mask;
-  };
-  std::array<Frame, kStackedTreeDepth> stack;
-  std::size_t top = 0;
-  for (;;) {
-    while (nodes_[idx].feature >= 0) {
-      const auto feat = static_cast<std::size_t>(nodes_[idx].feature);
-      const std::uint64_t right = mask & featureWords[feat];
-      const std::uint64_t left = mask ^ right;
-      if (right == 0) {
-        idx = nodes_[idx].left;
-        continue;
-      }
-      if (left == 0) {
-        idx = nodes_[idx].right;
-        mask = right;
-        continue;
-      }
-      if (top < stack.size()) {
-        stack[top++] = Frame{nodes_[idx].right, right};
-      } else {
-        accumulateLanes(featureWords, nodes_[idx].right, right, sums);
-      }
-      idx = nodes_[idx].left;
-      mask = left;
-    }
-    const double p = nodes_[idx].probability;
-    if (mask == ~std::uint64_t{0}) {
-      for (std::size_t lane = 0; lane < 64; ++lane) sums[lane] += p;
-    } else {
-      while (mask != 0) {
-        sums[std::countr_zero(mask)] += p;
-        mask &= mask - 1;
-      }
-    }
-    if (top == 0) return;
-    --top;
-    idx = stack[top].idx;
-    mask = stack[top].mask;
-  }
 }
 
 int DecisionTree::depth() const noexcept {

@@ -22,10 +22,9 @@
 
 namespace oisa::ml {
 
-/// Depth the lane-mask tree walks (DecisionTree::accumulateLanes and the
-/// flat-bank FlatForest walk) keep on their fixed explicit stacks; a
-/// deeper tree spills into recursion. Command-line --depth flags are
-/// bounded by it.
+/// Depth the flat-bank lane-mask walk (FlatForest::predictWord) keeps on
+/// its fixed explicit stack; a deeper tree spills into recursion.
+/// Command-line --depth flags are bounded by it.
 inline constexpr std::size_t kStackedTreeDepth = 64;
 
 /// Tree growth controls.
@@ -72,25 +71,6 @@ class DecisionTree final : public BinaryClassifier {
   [[nodiscard]] double predictProbability(
       std::span<const std::uint8_t> features) const override;
 
-  /// predictProbability without the trained() validation, for hot loops
-  /// that validated once at entry. Precondition: trained().
-  [[nodiscard]] double probabilityUnchecked(
-      std::span<const std::uint8_t> features) const noexcept;
-
-  /// Batched inference: featureWords[f] carries feature f of lane L in bit
-  /// L (the packed column layout). Writes each lane's leaf probability and
-  /// returns the mask of lanes predicted positive — lane for lane equal to
-  /// the scalar predict()/predictProbability().
-  [[nodiscard]] std::uint64_t predictBatch(
-      std::span<const std::uint64_t> featureWords,
-      std::span<double> probabilities) const override;
-
-  /// Batched building block for forests: adds each lane's leaf probability
-  /// into sums[0..63] (one addition per lane, so callers control the
-  /// accumulation order). Precondition: trained().
-  void accumulateBatch(std::span<const std::uint64_t> featureWords,
-                       double* sums) const noexcept;
-
   [[nodiscard]] std::size_t nodeCount() const noexcept {
     return nodes_.size();
   }
@@ -118,9 +98,6 @@ class DecisionTree final : public BinaryClassifier {
                      std::mt19937_64& rng, CandidateSampler& sampler);
   std::uint32_t growPacked(PackedGrowContext& ctx, std::size_t slot,
                            std::size_t n, std::size_t pos, int depth);
-  void accumulateLanes(std::span<const std::uint64_t> featureWords,
-                       std::uint32_t idx, std::uint64_t mask,
-                       double* sums) const noexcept;
 
   std::vector<Node> nodes_;
 };

@@ -51,12 +51,13 @@ void FlatForest::accumulateTreeLanes(
     std::uint32_t idx, std::uint64_t mask,
     std::span<const std::uint64_t> featureWords,
     double* sums) const noexcept {
-  // The explicit-stack lane-mask traversal of DecisionTree::
-  // accumulateLanes, re-rooted on the flat arrays. The stack bound holds
-  // for any bank that passed validateFlatBank: children strictly follow
-  // their parent, so depth never exceeds the node count, and grown trees
-  // are capped far below kStackedTreeDepth; a deeper (hand-built) tree spills
-  // into recursion rather than overflowing.
+  // Lane-mask traversal: each (node, mask) pair splits its lanes by the
+  // feature word and follows only populated sides, so one walk serves all
+  // 64 lanes. Pending right branches live on a fixed explicit stack. The
+  // bound holds for any bank that passed validateFlatBank: children
+  // strictly follow their parent, so depth never exceeds the node count,
+  // and grown trees are capped far below kStackedTreeDepth; a deeper
+  // (hand-built) tree spills into recursion rather than overflowing.
   const FlatBankView& b = bank_;
   struct Frame {
     std::uint32_t idx;

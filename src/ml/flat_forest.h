@@ -20,11 +20,13 @@
 // envelope v2 (serialize.h) writes, so a saved bank loads by mmap with
 // zero per-node work: validate the header and CRC, then cast.
 //
-// Inference is bit-identical to the pointer forests: the scalar walk
-// takes the same branches, and the 64-lane masked walk accumulates leaf
-// probabilities tree by tree in the same order as
-// RandomForest::predictBatch (the explicit-stack traversal of
-// DecisionTree::accumulateLanes, re-rooted on the flat arrays).
+// This is the only inference engine: every predictor kind (forest,
+// single tree, majority baseline) is served from a flat bank. The scalar
+// walk (probability) takes the pointer forests' branches and sums leaves
+// tree by tree, bit-identical to RandomForest::predictProbability; the
+// 64-lane masked walk (predictWord, an explicit-stack traversal that
+// splits each node's lanes by the feature word) adds each lane's leaves
+// in that same tree order, so its decisions equal the scalar walk's.
 //
 // The masked walk prunes: a lane stops walking trees as soon as its
 // `mean >= 0.5` decision is settled. Every bank carries two derived
@@ -150,7 +152,7 @@ class FlatForest {
   }
 
   /// Mean leaf probability over the trees — the scalar forest walk on
-  /// flat arrays, branch-for-branch RandomForest::probabilityUnchecked.
+  /// flat arrays, branch-for-branch RandomForest::predictProbability.
   /// Precondition: treeCount() > 0.
   [[nodiscard]] double probability(
       std::span<const std::uint8_t> features) const noexcept;
@@ -163,8 +165,8 @@ class FlatForest {
   /// 64-lane pruned forest walk: featureWords[f] carries feature f of
   /// lane L in bit L. Returns the mask of lanes whose mean leaf
   /// probability is >= 0.5, bit for bit the decision of the full in-order
-  /// sum (probability(), RandomForest::predictBatch), while walking each
-  /// tree only for the lanes the decision rule above has not yet settled.
+  /// sum (probability()), while walking each tree only for the lanes the
+  /// decision rule above has not yet settled.
   /// `sums` is caller scratch for 64 doubles; its contents afterwards are
   /// unspecified. Adds this call's tree walks to `counts`.
   /// Allocation-free. Precondition: treeCount() > 0 and the view carries

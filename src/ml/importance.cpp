@@ -1,53 +1,62 @@
 #include "ml/importance.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <utility>
 
 namespace oisa::ml {
 
-std::vector<double> featureImportance(const DecisionTree& tree,
-                                      std::size_t featureCount) {
-  std::vector<double> importance(featureCount, 0.0);
-  if (!tree.trained()) return importance;
-  // Iterative walk carrying depth; weight = 2^-depth approximates the
-  // fraction of samples reaching the node.
-  std::vector<std::pair<std::uint32_t, int>> stack{{0u, 0}};
-  const auto& nodes = tree.nodes();
-  while (!stack.empty()) {
-    const auto [idx, depth] = stack.back();
-    stack.pop_back();
-    const auto& node = nodes[idx];
-    if (node.feature < 0) continue;
-    if (static_cast<std::size_t>(node.feature) < featureCount) {
-      importance[static_cast<std::size_t>(node.feature)] +=
-          std::ldexp(1.0, -depth);
-    }
-    stack.emplace_back(node.left, depth + 1);
-    stack.emplace_back(node.right, depth + 1);
-  }
-  const double total =
-      std::accumulate(importance.begin(), importance.end(), 0.0);
+namespace {
+
+/// Scales `v` to sum 1; an all-zero vector stays all zeros.
+void normalize(std::vector<double>& v) {
+  const double total = std::accumulate(v.begin(), v.end(), 0.0);
   if (total > 0.0) {
-    for (double& v : importance) v /= total;
+    for (double& x : v) x /= total;
   }
-  return importance;
 }
 
-std::vector<double> featureImportance(const RandomForest& forest,
-                                      std::size_t featureCount) {
-  std::vector<double> importance(featureCount, 0.0);
-  if (!forest.trained()) return importance;
-  for (const DecisionTree& tree : forest.trees()) {
-    const auto one = featureImportance(tree, featureCount);
-    for (std::size_t i = 0; i < featureCount; ++i) importance[i] += one[i];
+/// Adds `from` into `into` element-wise.
+void addInto(std::vector<double>& into, const std::vector<double>& from) {
+  for (std::size_t i = 0; i < into.size(); ++i) into[i] += from[i];
+}
+
+}  // namespace
+
+std::vector<double> featureImportance(const FlatBankView& bank) {
+  const std::size_t features = bank.featureCount;
+  std::vector<double> total(features, 0.0);
+  std::vector<double> forest(features);
+  std::vector<double> tree(features);
+  // Iterative walk carrying depth; weight = 2^-depth approximates the
+  // fraction of samples reaching the node.
+  std::vector<std::pair<std::uint32_t, int>> stack;
+  std::size_t budget = bank.nodeCount();
+  for (std::size_t f = 0; f < bank.forestCount(); ++f) {
+    std::fill(forest.begin(), forest.end(), 0.0);
+    for (std::uint32_t t = bank.forestBegin[f]; t < bank.forestBegin[f + 1];
+         ++t) {
+      std::fill(tree.begin(), tree.end(), 0.0);
+      stack.assign(1, {bank.roots[t], 0});
+      while (!stack.empty() && budget != 0) {
+        const auto [idx, depth] = stack.back();
+        stack.pop_back();
+        --budget;
+        const std::int16_t feat = bank.feature[idx];
+        if (feat < 0) continue;
+        tree[static_cast<std::size_t>(feat)] += std::ldexp(1.0, -depth);
+        stack.emplace_back(bank.left[idx], depth + 1);
+        stack.emplace_back(bank.right[idx], depth + 1);
+      }
+      normalize(tree);
+      addInto(forest, tree);
+    }
+    normalize(forest);
+    addInto(total, forest);
   }
-  const double total =
-      std::accumulate(importance.begin(), importance.end(), 0.0);
-  if (total > 0.0) {
-    for (double& v : importance) v /= total;
-  }
-  return importance;
+  normalize(total);
+  return total;
 }
 
 }  // namespace oisa::ml

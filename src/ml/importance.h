@@ -9,18 +9,18 @@
 
 #include <vector>
 
-#include "ml/decision_tree.h"
-#include "ml/random_forest.h"
+#include "ml/flat_forest.h"
 
 namespace oisa::ml {
 
-/// Per-feature importance of one tree, normalized to sum to 1 (all zeros
-/// for a leaf-only tree). `featureCount` sizes the result.
-[[nodiscard]] std::vector<double> featureImportance(const DecisionTree& tree,
-                                                    std::size_t featureCount);
-
-/// Mean tree importance across a forest, normalized to sum to 1.
-[[nodiscard]] std::vector<double> featureImportance(
-    const RandomForest& forest, std::size_t featureCount);
+/// Per-feature importance of a flat bank (bank.featureCount entries).
+/// Each tree's split weights are normalized to sum 1, each forest's mean
+/// of its trees to sum 1, and the sum over forests to sum 1; an all-leaf
+/// bank gives all zeros. Trees are walked depth-first from the root,
+/// pushing left then right, so the result is a pure function of the node
+/// arrays: a loaded bank ranks features exactly like the bank it was
+/// saved from. The walk visits at most nodeCount() nodes in all, which
+/// only a shared (DAG-shaped) arena, never a trained one, can exhaust.
+[[nodiscard]] std::vector<double> featureImportance(const FlatBankView& bank);
 
 }  // namespace oisa::ml

@@ -100,60 +100,11 @@ double RandomForest::predictProbability(
   if (trees_.empty()) {
     throw std::logic_error("RandomForest: predict before fit");
   }
-  return probabilityUnchecked(features);
-}
-
-double RandomForest::probabilityUnchecked(
-    std::span<const std::uint8_t> features) const noexcept {
   double sum = 0.0;
   for (const DecisionTree& tree : trees_) {
-    sum += tree.probabilityUnchecked(features);
+    sum += tree.predictProbability(features);
   }
   return sum / static_cast<double>(trees_.size());
-}
-
-std::uint64_t RandomForest::predictBatch(
-    std::span<const std::uint64_t> featureWords,
-    std::span<double> probabilities) const {
-  if (trees_.empty()) {
-    throw std::logic_error("RandomForest: predict before fit");
-  }
-  if (probabilities.size() < 64) {
-    throw std::invalid_argument(
-        "RandomForest::predictBatch: need 64 probability slots");
-  }
-  std::fill_n(probabilities.data(), 64, 0.0);
-  // One leaf-probability addition per lane per tree, tree by tree — the
-  // same per-lane summation order as the scalar path, so results match bit
-  // for bit.
-  for (const DecisionTree& tree : trees_) {
-    tree.accumulateBatch(featureWords, probabilities.data());
-  }
-  const auto count = static_cast<double>(trees_.size());
-  std::uint64_t predictions = 0;
-  for (std::size_t lane = 0; lane < 64; ++lane) {
-    probabilities[lane] = probabilities[lane] / count;
-    if (probabilities[lane] >= 0.5) predictions |= std::uint64_t{1} << lane;
-  }
-  return predictions;
-}
-
-void MajorityClassifier::fit(const Dataset& data) {
-  if (data.rowCount() == 0) {
-    throw std::invalid_argument("MajorityClassifier::fit: empty dataset");
-  }
-  probability_ = static_cast<double>(data.positiveCount()) /
-                 static_cast<double>(data.rowCount());
-  majority_ = probability_ >= 0.5;
-}
-
-void MajorityClassifier::fit(const PackedView& data) {
-  if (data.rowCount == 0) {
-    throw std::invalid_argument("MajorityClassifier::fit: empty dataset");
-  }
-  probability_ = static_cast<double>(data.positiveCount()) /
-                 static_cast<double>(data.rowCount);
-  majority_ = probability_ >= 0.5;
 }
 
 }  // namespace oisa::ml

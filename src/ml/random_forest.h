@@ -7,7 +7,6 @@
 // pipeline is retained as fitReference() and grows *identical* trees.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -15,7 +14,14 @@
 
 namespace oisa::ml {
 
-/// Forest growth controls.
+/// Forest growth controls. The paper's ablation baselines are points of
+/// this space, not separate model kinds: treeCount = 1 with bootstrap off
+/// and tree.featuresPerSplit = SIZE_MAX grows the node-identical tree that
+/// DecisionTree::fit grows from the same seed (no rng is drawn before the
+/// tree, and a full candidate draw consumes none), and adding
+/// tree.maxDepth = 0 leaves one leaf of probability pos/n, the majority
+/// vote (its >= 0.5 decision is exact below 2^25 training rows, where the
+/// float leaf cannot round up to 0.5).
 struct ForestParams {
   std::size_t treeCount = 10;
   TreeParams tree{};  ///< tree.featuresPerSplit 0 = auto (sqrt(featureCount))
@@ -43,19 +49,6 @@ class RandomForest final : public BinaryClassifier {
   [[nodiscard]] double predictProbability(
       std::span<const std::uint8_t> features) const override;
 
-  /// predictProbability without the trained() validation, for hot loops
-  /// that validated once at entry. Precondition: trained().
-  [[nodiscard]] double probabilityUnchecked(
-      std::span<const std::uint8_t> features) const noexcept;
-
-  /// 64-lane batched forest inference: featureWords[f] carries feature f of
-  /// lane L in bit L. Each lane's probability is accumulated tree by tree
-  /// in the scalar summation order, so lane results equal
-  /// predict()/predictProbability() bit for bit.
-  [[nodiscard]] std::uint64_t predictBatch(
-      std::span<const std::uint64_t> featureWords,
-      std::span<double> probabilities) const override;
-
   [[nodiscard]] const std::vector<DecisionTree>& trees() const noexcept {
     return trees_;
   }
@@ -63,37 +56,6 @@ class RandomForest final : public BinaryClassifier {
 
  private:
   std::vector<DecisionTree> trees_;
-};
-
-/// Baseline that always predicts the training majority class — the paper's
-/// implicit "no model" comparison point for ablations.
-class MajorityClassifier final : public BinaryClassifier {
- public:
-  void fit(const Dataset& data);
-  void fit(const PackedView& data);
-
-  [[nodiscard]] bool predict(
-      std::span<const std::uint8_t>) const override {
-    return majority_;
-  }
-  [[nodiscard]] double predictProbability(
-      std::span<const std::uint8_t>) const override {
-    return probability_;
-  }
-  [[nodiscard]] std::uint64_t predictBatch(
-      std::span<const std::uint64_t>,
-      std::span<double> probabilities) const override {
-    if (probabilities.size() < 64) {
-      throw std::invalid_argument(
-          "MajorityClassifier::predictBatch: need 64 probability slots");
-    }
-    std::fill_n(probabilities.data(), 64, probability_);
-    return majority_ ? ~std::uint64_t{0} : 0;
-  }
-
- private:
-  bool majority_ = false;
-  double probability_ = 0.0;
 };
 
 }  // namespace oisa::ml

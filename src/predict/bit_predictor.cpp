@@ -54,117 +54,35 @@ void BitLevelPredictor::fit(const PackedTraceFeatures& packed) {
   }
   const int bits = extractor_.outputBitCount();
   const obs::ObsSpan span("predictor.fit", "predict", "rows", packed.rowCount);
-  forests_.clear();
-  treesOnly_.clear();
-  majorities_.clear();
-
+  std::vector<ml::RandomForest> forests(static_cast<std::size_t>(bits));
   for (int bit = 0; bit < bits; ++bit) {
     const ml::PackedView view = extractor_.bitView(packed, bit);
     const std::uint64_t seed =
         params_.seed + 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(bit + 1);
-    switch (params_.model) {
-      case ModelKind::RandomForest: {
-        ml::RandomForest forest;
-        // One span per bank that grows trees; constant-label banks emit a
-        // single leaf and stay unspanned.
-        std::optional<obs::ObsSpan> bankSpan;
-        const std::size_t positives = view.positiveCount();
-        if (positives != 0 && positives != view.rowCount) {
-          bankSpan.emplace("forest.fit", "ml", "bit",
-                           static_cast<std::uint64_t>(bit));
-        }
-        forest.fit(view, params_.forest, seed);
-        forests_.push_back(std::move(forest));
-        break;
-      }
-      case ModelKind::DecisionTree: {
-        ml::DecisionTree tree;
-        tree.fit(view, params_.tree, seed);
-        treesOnly_.push_back(std::move(tree));
-        break;
-      }
-      case ModelKind::Majority: {
-        ml::MajorityClassifier majority;
-        majority.fit(view);
-        majorities_.push_back(std::move(majority));
-        break;
-      }
+    // One span per bank that grows trees; constant-label banks emit a
+    // single leaf and stay unspanned.
+    std::optional<obs::ObsSpan> bankSpan;
+    const std::size_t positives = view.positiveCount();
+    if (positives != 0 && positives != view.rowCount) {
+      bankSpan.emplace("forest.fit", "ml", "bit",
+                       static_cast<std::uint64_t>(bit));
     }
+    forests[static_cast<std::size_t>(bit)].fit(view, params_.forest, seed);
   }
-  trained_ = true;
   mappedBank_ = ml::MappedForestBank{};  // re-fit drops any mapped file
-  buildFlatBank();
-}
-
-void BitLevelPredictor::buildFlatBank() {
-  if (params_.model == ModelKind::RandomForest) {
-    flatBank_ = ml::FlatForestBank::build(
-        forests_, static_cast<std::uint32_t>(extractor_.featureCount()));
-  } else {
-    flatBank_ = ml::FlatForestBank{};
-  }
-}
-
-bool BitLevelPredictor::predictBit(std::span<const std::uint8_t> features,
-                                   int bit) const noexcept {
-  const auto idx = static_cast<std::size_t>(bit);
-  switch (params_.model) {
-    case ModelKind::RandomForest:
-      return forests_[idx].probabilityUnchecked(features) >= 0.5;
-    case ModelKind::DecisionTree:
-      return treesOnly_[idx].probabilityUnchecked(features) >= 0.5;
-    case ModelKind::Majority: return majorities_[idx].predict(features);
-  }
-  return false;
-}
-
-std::uint64_t BitLevelPredictor::predictBitWord(
-    std::span<const std::uint64_t> featureWords, int bit,
-    std::span<double> scratch, const ml::FlatBankView& flat,
-    ml::FlatForest::WalkCounts& walks) const {
-  const auto idx = static_cast<std::size_t>(bit);
-  switch (params_.model) {
-    case ModelKind::RandomForest:
-      // The pruned flat walk decides each lane exactly as the full
-      // in-order sum of RandomForest::predictBatch would, so the word is
-      // bit-identical to the pointer-forest path.
-      return ml::FlatForest(flat, idx).predictWord(featureWords,
-                                                   scratch.data(), walks);
-    case ModelKind::DecisionTree:
-      return treesOnly_[idx].predictBatch(featureWords, scratch);
-    case ModelKind::Majority:
-      return majorities_[idx].predictBatch(featureWords, scratch);
-  }
-  return 0;
+  flatBank_ = ml::FlatForestBank::build(
+      forests, static_cast<std::uint32_t>(extractor_.featureCount()));
 }
 
 std::vector<double> BitLevelPredictor::featureImportance() const {
-  std::vector<double> total(extractor_.featureCount(), 0.0);
-  if (!trained_) return total;
-  double mass = 0.0;
-  auto accumulate = [&](const std::vector<double>& one) {
-    for (std::size_t i = 0; i < total.size(); ++i) total[i] += one[i];
-    mass += 1.0;
-  };
-  for (const auto& forest : forests_) {
-    accumulate(ml::featureImportance(forest, total.size()));
-  }
-  for (const auto& tree : treesOnly_) {
-    accumulate(ml::featureImportance(tree, total.size()));
-  }
-  double sum = 0.0;
-  for (const double v : total) sum += v;
-  if (sum > 0.0) {
-    for (double& v : total) v /= sum;
-  }
-  return total;
+  if (!trained()) return std::vector<double>(extractor_.featureCount(), 0.0);
+  return ml::featureImportance(flatView());
 }
 
 core::Status BitLevelPredictor::saveFlat(const std::string& path) const {
-  if (!trained_ || params_.model != ModelKind::RandomForest) {
+  if (!trained()) {
     return Status::invalidInput(
-        "BitLevelPredictor::saveFlat: only trained RandomForest banks "
-        "persist");
+        "BitLevelPredictor::saveFlat: only trained banks persist");
   }
   return ml::writeFlatBankFile(
       path, flatView(), static_cast<std::uint32_t>(extractor_.width()),
@@ -181,7 +99,6 @@ core::StatusOr<BitLevelPredictor> BitLevelPredictor::loadFlat(
                               std::to_string(width) + " out of range");
   }
   PredictorParams params;
-  params.model = ModelKind::RandomForest;
   params.includeOutputBits = (bank.value().meta1() & 1u) != 0;
   BitLevelPredictor predictor(static_cast<int>(width), params);
   const ml::FlatBankView& view = bank.value().view();
@@ -196,7 +113,6 @@ core::StatusOr<BitLevelPredictor> BitLevelPredictor::loadFlat(
         "BitLevelPredictor::loadFlat: feature count mismatch");
   }
   predictor.mappedBank_ = std::move(bank).value();
-  predictor.trained_ = true;
   return predictor;
 }
 
@@ -211,7 +127,7 @@ PredictedFlips BitLevelPredictor::predictFlips(
 void BitLevelPredictor::predictFlipsBlock(
     std::span<const TraceRecord> records,
     std::span<PredictedFlips> out) const {
-  if (!trained_) {
+  if (!trained()) {
     throw std::logic_error("BitLevelPredictor: predict before fit");
   }
   if (records.size() < 2 || records.size() > 65) {
@@ -234,9 +150,7 @@ void BitLevelPredictor::predictFlipsBlock(
   const std::size_t lanes = extractor_.packBlock(
       records, std::span(featureWords).first(shared), goldPrevCols,
       goldCurCols);
-  const ml::FlatBankView flat = params_.model == ModelKind::RandomForest
-                                    ? flatView()
-                                    : ml::FlatBankView{};
+  const ml::FlatBankView flat = flatView();
   std::array<std::uint64_t, 64> predWords{};
   std::array<double, 64> scratch;
   ml::FlatForest::WalkCounts walks;
@@ -248,7 +162,8 @@ void BitLevelPredictor::predictFlipsBlock(
       featureWords[shared] = goldPrevCols[b];
       featureWords[shared + 1] = goldCurCols[b];
     }
-    predWords[b] = predictBitWord(features, bit, scratch, flat, walks);
+    predWords[b] =
+        ml::FlatForest(flat, b).predictWord(features, scratch.data(), walks);
   }
   // predWords rows are output bits; one transpose turns them into
   // per-lane flip words (bit b of word L = bit b's prediction for lane L).
@@ -272,14 +187,10 @@ void BitLevelPredictor::predictFlipsBlock(
 
 PredictedFlips BitLevelPredictor::predictFlipsReference(
     const TraceRecord& previous, const TraceRecord& current) const {
-  if (!trained_) {
+  if (!trained()) {
     throw std::logic_error("BitLevelPredictor: predict before fit");
   }
-  if (params_.model == ModelKind::RandomForest && forests_.empty()) {
-    throw std::logic_error(
-        "BitLevelPredictor::predictFlipsReference: flat-loaded bank has no "
-        "pointer models");
-  }
+  const ml::FlatBankView flat = flatView();
   PredictedFlips flips;
   // Stack row buffer (width <= 63 caps featureCount); the shared operand
   // block is extracted once, only the two yRTL_n bytes change per bit.
@@ -290,7 +201,9 @@ PredictedFlips BitLevelPredictor::predictFlipsReference(
   const int width = extractor_.width();
   for (int bit = 0; bit <= width; ++bit) {
     extractor_.patchBitFeatures(previous, current, bit, row);
-    if (!predictBit(row, bit)) continue;
+    if (!ml::FlatForest(flat, static_cast<std::size_t>(bit)).predict(row)) {
+      continue;
+    }
     if (bit == width) {
       flips.coutFlip = true;
     } else {
@@ -326,7 +239,7 @@ PredictorEvaluation BitLevelPredictor::evaluate(const Trace& testTrace) const {
 
 PredictorEvaluation BitLevelPredictor::evaluate(
     const Trace& testTrace, const PackedTraceFeatures& packed) const {
-  if (!trained_) {
+  if (!trained()) {
     throw std::logic_error("BitLevelPredictor: evaluate before fit");
   }
   validatePacked(packed);
@@ -349,9 +262,7 @@ PredictorEvaluation BitLevelPredictor::evaluate(
   const std::size_t words = packed.wordCount;
   const std::size_t rows = packed.rowCount;
   const std::size_t shared = packed.sharedCount;
-  const ml::FlatBankView flat = params_.model == ModelKind::RandomForest
-                                    ? flatView()
-                                    : ml::FlatBankView{};
+  const ml::FlatBankView flat = flatView();
   std::vector<std::uint64_t> featureWords(extractor_.featureCount());
   std::array<std::uint64_t, 64> predWords;
   std::array<double, 64> scratch;
@@ -372,8 +283,8 @@ PredictorEvaluation BitLevelPredictor::evaluate(
         featureWords[shared] = packed.goldPrev[b * words + w];
         featureWords[shared + 1] = packed.goldCur[b * words + w];
       }
-      const std::uint64_t pred =
-          predictBitWord(featureWords, bit, scratch, flat, walks);
+      const std::uint64_t pred = ml::FlatForest(flat, b).predictWord(
+          featureWords, scratch.data(), walks);
       predWords[b] = pred;
       // Bit-level accuracy (ABPER numerator): one popcount per 64 cycles.
       wrong[b] += static_cast<std::uint64_t>(

@@ -7,29 +7,32 @@
 // vector (bit-flip positions) and deduces the predicted y_silver from
 // y_gold (Sec. IV-B).
 //
-// The bank runs on the packed column-major substrate end to end: fit()
-// extracts the shared operand/transition columns once per trace (only the
-// two yRTL_n columns differ per bit) and trains every forest with the
-// popcount CART trainer; evaluate() sweeps the test trace 64 cycles at a
-// time through the lane-masked batched forest walk, so ABPER reduces to
-// popcounts of prediction-vs-label words.
+// Every model kind is one flat bank. The paper's random forest, the
+// single decision tree and the majority baseline differ only in their
+// ml::ForestParams (a tree is a 1-tree forest without bootstrap, the
+// majority vote a depth-0 one; see ml/random_forest.h), so fit() trains
+// every per-bit classifier with ml::RandomForest::fit and keeps nothing
+// but the ml::FlatForestBank it flattens them into (structure-of-arrays
+// node arena, ml/flat_forest.h). fit() extracts the shared
+// operand/transition columns once per trace (only the two yRTL_n columns
+// differ per bit) and trains with the popcount CART trainer.
 //
-// Serving path: a trained RandomForest bank is flattened into an
-// ml::FlatForestBank (structure-of-arrays node arena, ml/flat_forest.h)
-// the moment training or loading completes, and every batched inference
-// — evaluate() and the predictFlipsBlock hot path — walks the flat
-// arrays. predictFlipsBlock scores up to 64 record pairs per call with
-// zero allocation: one packBlock column extraction shared by all output
-// bits, one pruned lane-masked flat walk per bit, one 64x64 transpose
-// back to per-lane flip masks (evaluate() gathers its AVPE flips with
-// the same transpose). The pruned walk stops walking a lane once its
-// `mean >= 0.5` decision is settled (decision rule and soundness bound
-// in ml/flat_forest.h), so every prediction is bit-identical to the
-// full in-order sum; a bank whose leaves cannot reach the threshold
-// costs no walk at all. Both paths count their walks and skips as
-// predict.tree_walks / predict.tree_walks_pruned. Banks persist as the binary flat envelope v2
-// (saveFlat/loadFlat, ml/serialize.h), which mmaps straight into the
-// inference arrays.
+// Every inference walks the flat arrays. evaluate() sweeps the test trace
+// 64 cycles at a time, so ABPER reduces to popcounts of
+// prediction-vs-label words. predictFlipsBlock scores up to 64 record
+// pairs per call with zero allocation: one packBlock column extraction
+// shared by all output bits, one pruned lane-masked flat walk per bit,
+// one 64x64 transpose back to per-lane flip masks (evaluate() gathers its
+// AVPE flips with the same transpose). The pruned walk stops walking a
+// lane once its `mean >= 0.5` decision is settled (decision rule and
+// soundness bound in ml/flat_forest.h), so every prediction is
+// bit-identical to the full in-order sum; a bank whose leaves cannot
+// reach the threshold costs no walk at all. Both paths count their walks
+// and skips as predict.tree_walks / predict.tree_walks_pruned. Banks
+// persist as the binary flat envelope v2 (saveFlat/loadFlat,
+// ml/serialize.h), which mmaps straight into the inference arrays, so a
+// loaded bank serves, ranks features and runs the scalar reference
+// exactly like the bank it was saved from.
 #pragma once
 
 #include <cstdint>
@@ -47,18 +50,9 @@
 
 namespace oisa::predict {
 
-/// Model family for the per-bit classifiers (ablation bench).
-enum class ModelKind : std::uint8_t {
-  RandomForest,  ///< the paper's choice
-  DecisionTree,  ///< single CART tree
-  Majority,      ///< constant baseline
-};
-
 /// Training controls.
 struct PredictorParams {
-  ModelKind model = ModelKind::RandomForest;
-  ml::ForestParams forest{};   ///< used when model == RandomForest
-  ml::TreeParams tree{};       ///< used when model == DecisionTree
+  ml::ForestParams forest{};  ///< per-bit classifier (every ablation kind)
   bool includeOutputBits = true;  ///< feature ablation switch
   std::uint64_t seed = 1;
 };
@@ -120,10 +114,10 @@ class BitLevelPredictor {
   void predictFlipsBlock(std::span<const TraceRecord> records,
                          std::span<PredictedFlips> out) const;
 
-  /// The seed scalar reference path — per-record byte-feature extraction
-  /// and pointer-model walks — kept as the differential baseline for
-  /// bench/micro_predict and the flat-equivalence tests. Requires pointer
-  /// models (unavailable on a loadFlat()-ed bank: throws std::logic_error).
+  /// The scalar reference path — per-record byte-feature extraction and
+  /// one scalar flat walk (ml::FlatForest::probability) per output bit —
+  /// kept as the differential baseline for bench/micro_predict and the
+  /// block-equivalence tests. Works on fitted and loadFlat()-ed banks.
   [[nodiscard]] PredictedFlips predictFlipsReference(
       const TraceRecord& previous, const TraceRecord& current) const;
 
@@ -142,66 +136,48 @@ class BitLevelPredictor {
   [[nodiscard]] const FeatureExtractor& extractor() const noexcept {
     return extractor_;
   }
-  [[nodiscard]] bool trained() const noexcept { return trained_; }
+  [[nodiscard]] bool trained() const noexcept {
+    return !flatBank_.empty() || !mappedBank_.empty();
+  }
 
-  /// Aggregate feature importance across all per-bit models (RandomForest
-  /// and DecisionTree kinds; all-zero for Majority). Normalized to sum 1.
+  /// Aggregate feature importance across all per-bit classifiers of the
+  /// bank (ml::featureImportance over flatView(); all-zero for depth-0
+  /// banks and before training). Normalized to sum 1, and identical on a
+  /// loadFlat()-ed bank.
   [[nodiscard]] std::vector<double> featureImportance() const;
 
   /// Persists the flat bank as binary envelope v2 (serialize.h), the
   /// serving/design-cache format: width and feature configuration ride in
   /// the header meta words, the node arrays are the file body.
-  /// InvalidInput unless trained RandomForest kind; IoError when the file
-  /// cannot be written.
+  /// InvalidInput unless trained; IoError when the file cannot be
+  /// written.
   [[nodiscard]] core::Status saveFlat(const std::string& path) const;
 
   /// Loads a saveFlat() file by mmap (one read fallback): header + CRC +
   /// structural validation, zero per-node parsing. The result serves
-  /// predictFlips/predictFlipsBlock/evaluate straight off the mapped
-  /// arrays; it carries no pointer forests (featureImportance() and
-  /// predictFlipsReference() are unavailable).
+  /// every query (predictFlips/predictFlipsBlock/evaluate,
+  /// predictFlipsReference, featureImportance) straight off the mapped
+  /// arrays, with the same results as the bank that was saved.
   [[nodiscard]] static core::StatusOr<BitLevelPredictor> loadFlat(
       const std::string& path);
 
   /// The flat inference arrays (valid while this predictor lives).
-  /// Precondition: trained RandomForest kind.
+  /// Precondition: trained().
   [[nodiscard]] ml::FlatBankView flatView() const noexcept {
     return mappedBank_.empty() ? flatBank_.view() : mappedBank_.view();
   }
 
  private:
-  /// Scalar per-bit prediction on the pointer models (reference path);
-  /// precondition: trained() with pointer models present.
-  [[nodiscard]] bool predictBit(std::span<const std::uint8_t> features,
-                                int bit) const noexcept;
-  /// Batched per-bit prediction over one 64-cycle lane word. `scratch`
-  /// holds 64 doubles of caller scratch (contents unspecified after the
-  /// call). `flat` is the bank view (hoisted by the caller; only read for
-  /// RandomForest kind), whose pruned walk (ml::FlatForest::predictWord)
-  /// adds its tree walks to `walks`.
-  [[nodiscard]] std::uint64_t predictBitWord(
-      std::span<const std::uint64_t> featureWords, int bit,
-      std::span<double> scratch, const ml::FlatBankView& flat,
-      ml::FlatForest::WalkCounts& walks) const;
   /// Checks that `packed` matches this bank's extractor configuration.
   void validatePacked(const PackedTraceFeatures& packed) const;
-  /// Rebuilds flatBank_ from forests_ (RandomForest kind after fit).
-  void buildFlatBank();
 
   PredictorParams params_;
   FeatureExtractor extractor_;
-  // One model per output bit; exactly one of these is populated per bit
-  // depending on params_.model. A loadFlat()-ed bank populates none of
-  // them (mappedBank_ carries the nodes instead).
-  std::vector<ml::RandomForest> forests_;
-  std::vector<ml::DecisionTree> treesOnly_;
-  std::vector<ml::MajorityClassifier> majorities_;
-  // Flat serving substrate for RandomForest kind: exactly one of these
-  // is non-empty once trained (built from forests_, or mmap-ed by
-  // loadFlat). Views are computed on demand, so copies/moves stay safe.
+  // The bank, one forest per output bit: exactly one of these is
+  // non-empty once trained (flattened by fit, or mmap-ed by loadFlat).
+  // Views are computed on demand, so copies/moves stay safe.
   ml::FlatForestBank flatBank_;
   ml::MappedForestBank mappedBank_;
-  bool trained_ = false;
 };
 
 }  // namespace oisa::predict

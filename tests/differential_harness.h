@@ -3,7 +3,8 @@
 // One home for the seeded generators the engine test suites previously
 // carried as private copies (random combinational DAGs, random pattern
 // words, correlated random datasets, the unit-delay cell library, the
-// ISCAS-85 c17 benchmark) plus the lane bit-exactness helpers that prove
+// ISCAS-85 c17 benchmark, the predictor ablation's baseline forest
+// parameters) plus the lane bit-exactness helpers that prove
 // a wide dispatched engine equivalent to the 64-lane reference by slicing
 // its blocks into 64-bit sub-words, and a scoped OISA_FORCE_LANE_WIDTH
 // override.
@@ -27,6 +28,7 @@
 #include "fault/fault_model.h"
 #include "fault/ppsfp_dispatch.h"
 #include "ml/dataset.h"
+#include "ml/random_forest.h"
 #include "netlist/compiled_netlist.h"
 #include "netlist/gate.h"
 #include "netlist/lane_width.h"
@@ -152,6 +154,25 @@ inline ml::Dataset randomDataset(std::size_t rows, std::size_t features,
     data.addRow(row, label);
   }
   return data;
+}
+
+/// The predictor ablation's decision-tree baseline as a forest point
+/// (ml/random_forest.h): one tree, no bootstrap, every feature scored per
+/// split — node for node DecisionTree::fit at the same seed.
+inline ml::ForestParams decisionTreeParams() {
+  ml::ForestParams params;
+  params.treeCount = 1;
+  params.bootstrap = false;
+  params.tree.featuresPerSplit = SIZE_MAX;
+  return params;
+}
+
+/// The majority baseline: the decision tree cut at depth 0, one leaf of
+/// probability pos/n.
+inline ml::ForestParams majorityParams() {
+  ml::ForestParams params = decisionTreeParams();
+  params.tree.maxDepth = 0;
+  return params;
 }
 
 // ---------------------------------------------------------------------------

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "core/fault_inject.h"
 #include "core/isa_adder.h"
 #include "core/status.h"
 #include "experiments/cli.h"
+#include "experiments/grid_scheduler.h"
 #include "experiments/report.h"
 #include "experiments/runner.h"
 #include "experiments/trace_collector.h"
@@ -328,6 +333,45 @@ TEST(RunnerTest, BitDistributionSeparatesStructuralAndTiming) {
   for (const int pos : {0, 1, 2, 3}) {
     EXPECT_EQ(dist.structuralRate[static_cast<std::size_t>(pos)], 0.0);
   }
+}
+
+TEST(RunnerTest, PredictionResumeRecomputesUnderAnyOtherForestConfig) {
+  // A decision tree and a 1-tree forest differ only in ForestParams
+  // fields, so the prediction checkpoint fingerprint must cover every one:
+  // a resume under a changed featuresPerSplit or bootstrap must recompute
+  // its cells, while an unchanged resume adopts them. "grid.cell:*" fails
+  // any recomputed cell, so adoption runs clean and recomputation throws.
+  const std::vector<oisa::circuits::SynthesizedDesign> designs = {
+      synthesize(oisa::core::makeIsa(8, 0, 0, 4),
+                 oisa::timing::CellLibrary::generic65(), SynthesisOptions{})};
+  const double cprs[] = {10.0, 15.0};
+  const std::string path =
+      testing::TempDir() + "oisa_prediction_fingerprint.bin";
+  oisa::experiments::PredictionOptions base;
+  base.trainCycles = 300;
+  base.testCycles = 150;
+  base.run.threads = 1;
+  base.run.checkpoint.path = path;
+  base.predictor.forest.treeCount = 2;
+  // Checkpoints the base campaign, then resumes it with `change` applied.
+  const auto resumeWith = [&](auto change) {
+    std::remove(path.c_str());
+    (void)oisa::experiments::runPredictionEvaluation(designs, cprs, base);
+    auto resumed = base;
+    resumed.run.checkpoint.resume = true;
+    change(resumed.predictor.forest);
+    const oisa::core::ScopedFaultPlan plan("grid.cell:*");
+    (void)oisa::experiments::runPredictionEvaluation(designs, cprs, resumed);
+  };
+  EXPECT_NO_THROW(resumeWith([](oisa::ml::ForestParams&) {}));
+  EXPECT_THROW(resumeWith([](oisa::ml::ForestParams& f) {
+                 f.tree.featuresPerSplit = 3;
+               }),
+               oisa::experiments::GridError);
+  EXPECT_THROW(
+      resumeWith([](oisa::ml::ForestParams& f) { f.bootstrap = false; }),
+      oisa::experiments::GridError);
+  std::remove(path.c_str());
 }
 
 }  // namespace

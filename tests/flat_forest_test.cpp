@@ -4,7 +4,9 @@
 // boundary, the binary envelope v2 (round trips, mmap loads,
 // flip-any-byte / truncate-anywhere corruption), and the batch-64
 // predictFlipsBlock hot path vs the scalar reference, including the
-// ragged final block.
+// ragged final block; feature importance on the flat view vs a
+// pointer-tree oracle, and loaded-bank parity (importance, scalar
+// reference, evaluate) for every ablation kind.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,10 +29,13 @@
 #include "experiments/workload.h"
 #include "ml/dataset.h"
 #include "ml/flat_forest.h"
+#include "ml/importance.h"
 #include "ml/random_forest.h"
 #include "ml/serialize.h"
 #include "predict/bit_predictor.h"
 #include "timing/cell_library.h"
+
+#include "differential_harness.h"
 
 namespace {
 
@@ -130,6 +135,96 @@ void expectBlockMatchesReference(const BitLevelPredictor& predictor,
     ASSERT_EQ(flips[r].sumFlips, ref.sumFlips) << "row " << r;
     ASSERT_EQ(flips[r].coutFlip, ref.coutFlip) << "row " << r;
   }
+}
+
+/// Asserts two banks give the same feature importance and the same
+/// scalar reference predictions on every pair of `trace`.
+void expectSameBankQueries(const BitLevelPredictor& a,
+                           const BitLevelPredictor& b, const Trace& trace) {
+  EXPECT_EQ(a.featureImportance(), b.featureImportance());
+  for (std::size_t r = 0; r + 1 < trace.size(); ++r) {
+    const PredictedFlips x = a.predictFlipsReference(trace[r], trace[r + 1]);
+    const PredictedFlips y = b.predictFlipsReference(trace[r], trace[r + 1]);
+    ASSERT_EQ(x.sumFlips, y.sumFlips) << "row " << r;
+    ASSERT_EQ(x.coutFlip, y.coutFlip) << "row " << r;
+  }
+}
+
+/// Split-usage importance computed on the pointer trees: per tree 2^-depth
+/// per split, pushed left then right, normalized per tree, per forest and
+/// over the bank — the oracle for ml::featureImportance on the flat view.
+std::vector<double> pointerImportance(std::span<const RandomForest> forests,
+                                      std::size_t features) {
+  const auto normalize = [](std::vector<double>& v) {
+    double total = 0.0;
+    for (const double x : v) total += x;
+    if (total > 0.0) {
+      for (double& x : v) x /= total;
+    }
+  };
+  std::vector<double> bank(features, 0.0);
+  for (const RandomForest& forest : forests) {
+    std::vector<double> sum(features, 0.0);
+    for (const oisa::ml::DecisionTree& tree : forest.trees()) {
+      std::vector<double> one(features, 0.0);
+      std::vector<std::pair<std::uint32_t, int>> stack{{0u, 0}};
+      while (!stack.empty()) {
+        const auto [idx, depth] = stack.back();
+        stack.pop_back();
+        const auto& node = tree.nodes()[idx];
+        if (node.feature < 0) continue;
+        one[static_cast<std::size_t>(node.feature)] += std::ldexp(1.0, -depth);
+        stack.emplace_back(node.left, depth + 1);
+        stack.emplace_back(node.right, depth + 1);
+      }
+      normalize(one);
+      for (std::size_t i = 0; i < features; ++i) sum[i] += one[i];
+    }
+    normalize(sum);
+    for (std::size_t i = 0; i < features; ++i) bank[i] += sum[i];
+  }
+  normalize(bank);
+  return bank;
+}
+
+TEST(FlatForestTest, ImportanceMatchesPointerTreesExactly) {
+  for (const std::uint64_t seed : {3u, 8u}) {
+    constexpr std::size_t kFeatures = 9;
+    const auto forests = trainForests(4, kFeatures, seed);
+    const FlatForestBank bank = FlatForestBank::build(forests, kFeatures);
+    const std::vector<double> flat = oisa::ml::featureImportance(bank.view());
+    EXPECT_EQ(flat, pointerImportance(forests, kFeatures));
+    double total = 0.0;
+    for (const double v : flat) total += v;
+    EXPECT_NEAR(total, 1.0, 1e-12);
+  }
+}
+
+TEST(FlatForestTest, ImportanceWalkIsLinearOnSharedArenas) {
+  // validateFlatBank accepts DAG-shaped arenas (children only have to
+  // follow their parent). A 63-deep chain whose nodes send both branches
+  // to the next node has 2^63 root-to-leaf paths; the importance walk
+  // must stop after nodeCount() visits instead of enumerating them.
+  constexpr std::uint32_t kChain = 63;
+  std::vector<std::int16_t> feature(kChain + 1, 0);
+  feature[kChain] = -1;
+  std::vector<std::uint32_t> left(kChain + 1), right(kChain + 1);
+  for (std::uint32_t i = 0; i < kChain; ++i) left[i] = right[i] = i + 1;
+  const std::vector<float> prob(kChain + 1, 0.5f);
+  const std::vector<std::uint32_t> roots{0};
+  const std::vector<std::uint32_t> forestBegin{0, 1};
+  FlatBankView dag;
+  dag.feature = feature;
+  dag.left = left;
+  dag.right = right;
+  dag.prob = prob;
+  dag.roots = roots;
+  dag.forestBegin = forestBegin;
+  dag.featureCount = 4;
+  ASSERT_TRUE(oisa::ml::validateFlatBank(dag).isOk());
+  const std::vector<double> importance = oisa::ml::featureImportance(dag);
+  ASSERT_EQ(importance.size(), 4u);
+  EXPECT_EQ(importance[0], 1.0);  // every visited split uses feature 0
 }
 
 TEST(FlatForestTest, MatchesPointerForestsOnRandomDatasets) {
@@ -639,10 +734,39 @@ TEST(FlatBankPersistenceTest, SaveFlatLoadFlatServesIdentically) {
     ASSERT_EQ(a.coutFlip, b.coutFlip);
   }
 
-  // A flat-loaded bank carries no pointer forests: the scalar reference
-  // path is unavailable, explicitly.
-  EXPECT_THROW((void)loaded.predictFlipsReference(test[0], test[1]),
-               std::logic_error);
+  // The loaded bank is the whole model: it ranks features and runs the
+  // scalar reference exactly like the bank it was saved from.
+  expectSameBankQueries(predictor, loaded, test);
+}
+
+TEST(FlatBankPersistenceTest, EveryAblationKindRoundTrips) {
+  // The decision-tree and majority kinds are flat banks too: saveFlat ->
+  // loadFlat -> evaluate serves them identically.
+  const Trace train = syntheticTrace(10, 900, 41);
+  const Trace test = syntheticTrace(10, 200, 42);
+  const auto path =
+      (std::filesystem::temp_directory_path() / "flat_bank_kinds.ffb")
+          .string();
+  for (const ForestParams& forest : {oisa::testing::decisionTreeParams(),
+                                     oisa::testing::majorityParams()}) {
+    PredictorParams params;
+    params.forest = forest;
+    BitLevelPredictor predictor(10, params);
+    predictor.fit(train);
+    ASSERT_EQ(predictor.flatView().roots.size(), 11u);  // one tree per bit
+    ASSERT_TRUE(predictor.saveFlat(path).isOk());
+    auto loadedOr = BitLevelPredictor::loadFlat(path);
+    ASSERT_TRUE(loadedOr.isOk()) << loadedOr.status().toString();
+    const BitLevelPredictor loaded = std::move(loadedOr).valueOrThrow();
+    std::remove(path.c_str());
+    const auto evalA = predictor.evaluate(test);
+    const auto evalB = loaded.evaluate(test);
+    EXPECT_EQ(evalA.abper, evalB.abper);
+    EXPECT_EQ(evalA.avpe, evalB.avpe);
+    EXPECT_EQ(evalA.perBitErrorRate, evalB.perBitErrorRate);
+    expectBlockMatchesReference(loaded, test);
+    expectSameBankQueries(predictor, loaded, test);
+  }
 }
 
 TEST(FlatBankPersistenceTest, LoadFlatRejectsForeignBanks) {
@@ -658,10 +782,10 @@ TEST(FlatBankPersistenceTest, LoadFlatRejectsForeignBanks) {
   std::remove(path.c_str());
 }
 
-TEST(FlatForestTest, TrainedFigureBanksMatchPointerPath) {
+TEST(FlatForestTest, TrainedFigureBanksMatchScalarPath) {
   // Banks trained from real collected traces of a paper design at every
-  // figure CPR point: the flat block path must match the pointer-forest
-  // scalar reference on every evaluation pair.
+  // figure CPR point: the pruned flat block path must match the scalar
+  // reference walk on every evaluation pair.
   const auto lib = oisa::timing::CellLibrary::generic65();
   oisa::circuits::SynthesisOptions synth;
   synth.relaxSlack = true;

@@ -9,6 +9,8 @@
 #include "experiments/trace_collector.h"
 #include "predict/bit_predictor.h"
 
+#include "differential_harness.h"
+
 namespace {
 
 using oisa::circuits::SynthesisOptions;
@@ -120,7 +122,7 @@ TEST(IntegrationTest, PredictorTracksOverclockedIsa) {
   const auto eval = predictor.evaluate(testTrace);
 
   oisa::predict::PredictorParams naiveParams;
-  naiveParams.model = oisa::predict::ModelKind::Majority;
+  naiveParams.forest = oisa::testing::majorityParams();
   oisa::predict::BitLevelPredictor naive(32, naiveParams);
   naive.fit(trainTrace);
   const auto naiveEval = naive.evaluate(testTrace);

@@ -9,13 +9,14 @@
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
 
+#include "differential_harness.h"
+
 namespace {
 
 using oisa::ml::ConfusionMatrix;
 using oisa::ml::Dataset;
 using oisa::ml::DecisionTree;
 using oisa::ml::ForestParams;
-using oisa::ml::MajorityClassifier;
 using oisa::ml::RandomForest;
 using oisa::ml::TreeParams;
 
@@ -135,8 +136,9 @@ TEST(RandomForestTest, LearnsNoisyMajorityFunction) {
   const ConfusionMatrix cm = evaluate(forest, test);
   EXPECT_GT(cm.accuracy(), 0.9);
 
-  MajorityClassifier baseline;
-  baseline.fit(train);
+  // The majority baseline: a 1-tree forest cut at depth 0.
+  RandomForest baseline;
+  baseline.fit(train, oisa::testing::majorityParams(), 11);
   const ConfusionMatrix base = evaluate(baseline, test);
   EXPECT_GT(cm.accuracy(), base.accuracy());
 }

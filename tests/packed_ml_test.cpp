@@ -1,12 +1,12 @@
 // Packed ML substrate tests: the column-major packed dataset view, the
 // popcount CART trainer's node-for-node equality with the retained
-// row-scan reference trainer, 64-lane batched inference agreement with the
-// scalar walks, the packed trace feature matrix, and serialization of
+// row-scan reference trainer, the ablation kinds as forest points (a
+// 1-tree forest is DecisionTree::fit, a depth-0 one the majority vote),
+// the packed trace feature matrix, and serialization of
 // packed-trained forests — on random data and on a real collected trace of
 // a synthesized paper design across all 33 output bits.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <climits>
 #include <memory>
 #include <random>
@@ -28,7 +28,6 @@ namespace {
 using oisa::ml::Dataset;
 using oisa::ml::DecisionTree;
 using oisa::ml::ForestParams;
-using oisa::ml::MajorityClassifier;
 using oisa::ml::PackedView;
 using oisa::ml::RandomForest;
 using oisa::ml::TreeParams;
@@ -245,93 +244,63 @@ TEST(PackedForestTest, ConstantLabelShortcutMatchesReference) {
   }
 }
 
-// Lane-major feature words for rows [base, base+64) of a dataset.
-std::vector<std::uint64_t> laneWords(const Dataset& data, std::size_t base) {
-  std::vector<std::uint64_t> words(data.featureCount(), 0);
-  for (std::size_t lane = 0; lane < 64; ++lane) {
-    const std::size_t r = base + lane;
-    if (r >= data.rowCount()) break;
-    for (std::size_t f = 0; f < data.featureCount(); ++f) {
-      if (data.feature(r, f) != 0) {
-        words[f] |= std::uint64_t{1} << lane;
-      }
+TEST(PackedForestTest, OneTreeForestIsTheDecisionTree) {
+  // The predictor's decision-tree kind is a 1-tree forest without
+  // bootstrap scoring every feature: it must grow DecisionTree::fit's
+  // nodes at the same seed, on random and on constant-label data.
+  const ForestParams oneTree = oisa::testing::decisionTreeParams();
+  for (const std::uint64_t seed : {3u, 17u, 99u}) {
+    const Dataset data = randomDataset(300 + seed, 9, seed);
+    for (const int depth : {12, 3}) {
+      ForestParams params = oneTree;
+      params.tree.maxDepth = depth;
+      TreeParams treeParams;
+      treeParams.maxDepth = depth;
+      RandomForest forest;
+      forest.fit(data.packed(), params, seed);
+      DecisionTree tree;
+      tree.fit(data.packed(), treeParams, seed);
+      ASSERT_EQ(forest.trees().size(), 1u);
+      expectSameNodes(forest.trees()[0], tree);
+      EXPECT_GT(tree.nodeCount(), 1u);
     }
   }
-  return words;
-}
-
-TEST(PredictBatchTest, TreeAndForestMatchScalarLaneForLane) {
-  const Dataset train = randomDataset(500, 10, 55);
-  const Dataset test = randomDataset(200, 10, 56);
-  DecisionTree tree;
-  tree.fit(train, TreeParams{});
-  RandomForest forest;
-  ForestParams params;
-  params.treeCount = 9;
-  forest.fit(train, params, 8);
-
-  std::array<double, 64> probs{};
-  for (std::size_t base = 0; base < test.rowCount(); base += 64) {
-    const auto words = laneWords(test, base);
-    const std::uint64_t treeBatch = tree.predictBatch(words, probs);
-    for (std::size_t lane = 0; lane < 64 && base + lane < test.rowCount();
-         ++lane) {
-      EXPECT_EQ(((treeBatch >> lane) & 1u) != 0,
-                tree.predict(test.row(base + lane)));
-      EXPECT_DOUBLE_EQ(probs[lane],
-                       tree.predictProbability(test.row(base + lane)));
+  for (const bool label : {false, true}) {
+    Dataset data(5);
+    std::mt19937_64 rng(9);
+    for (int i = 0; i < 90; ++i) {
+      std::vector<std::uint8_t> row(5);
+      for (auto& v : row) v = static_cast<std::uint8_t>(rng() & 1);
+      data.addRow(row, label);
     }
-    const std::uint64_t forestBatch = forest.predictBatch(words, probs);
-    for (std::size_t lane = 0; lane < 64 && base + lane < test.rowCount();
-         ++lane) {
-      EXPECT_EQ(((forestBatch >> lane) & 1u) != 0,
-                forest.predict(test.row(base + lane)));
-      // Identical summation order: exact equality, not approximate.
-      EXPECT_EQ(probs[lane],
-                forest.predictProbability(test.row(base + lane)));
-    }
+    RandomForest forest;
+    forest.fit(data.packed(), oneTree, 4);
+    DecisionTree tree;
+    tree.fit(data.packed(), TreeParams{}, 4);
+    ASSERT_EQ(forest.trees().size(), 1u);
+    expectSameNodes(forest.trees()[0], tree);
   }
 }
 
-TEST(PredictBatchTest, MajorityAndBaseClassFallbackAgree) {
-  const Dataset data = randomDataset(100, 6, 61);
-  MajorityClassifier majority;
-  majority.fit(data);
-  std::array<double, 64> probs{};
-  const auto words = laneWords(data, 0);
-  const std::uint64_t batch = majority.predictBatch(words, probs);
-  EXPECT_EQ(batch, majority.predict(data.row(0))
-                       ? ~std::uint64_t{0}
-                       : std::uint64_t{0});
-  EXPECT_EQ(probs[17], majority.predictProbability(data.row(17)));
-
-  // The BinaryClassifier default implementation (scalar unpacking) must
-  // agree with the word-parallel overrides.
-  RandomForest forest;
-  ForestParams params;
-  params.treeCount = 3;
-  forest.fit(data, params, 4);
-  std::array<double, 64> defaultProbs{};
-  const std::uint64_t fast = forest.predictBatch(words, probs);
-  const std::uint64_t slow =
-      forest.BinaryClassifier::predictBatch(words, defaultProbs);
-  EXPECT_EQ(fast, slow);
-  for (std::size_t lane = 0; lane < 64; ++lane) {
-    EXPECT_EQ(probs[lane], defaultProbs[lane]);
+TEST(PackedForestTest, DepthZeroForestIsTheMajorityVote) {
+  // The majority baseline is the 1-tree forest cut at depth 0: one leaf
+  // of probability pos/n, whose >= 0.5 decision is the majority class.
+  for (const std::size_t rows : {1u, 2u, 99u, 100u, 257u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const Dataset data = randomDataset(rows, 4, seed * 7 + rows);
+      RandomForest forest;
+      forest.fit(data.packed(), oisa::testing::majorityParams(), seed);
+      ASSERT_EQ(forest.trees().size(), 1u);
+      ASSERT_EQ(forest.trees()[0].nodeCount(), 1u);
+      const std::size_t pos = data.positiveCount();
+      const double share =
+          static_cast<double>(pos) / static_cast<double>(rows);
+      EXPECT_EQ(forest.trees()[0].nodes()[0].probability,
+                static_cast<float>(share));
+      EXPECT_EQ(forest.predict(data.row(0)), 2 * pos >= rows)
+          << rows << " rows, " << pos << " positive";
+    }
   }
-}
-
-TEST(PredictBatchTest, ValidatesArguments) {
-  const Dataset data = randomDataset(80, 5, 71);
-  RandomForest forest;
-  forest.fit(data, ForestParams{}, 1);
-  std::array<double, 64> probs{};
-  const auto words = laneWords(data, 0);
-  RandomForest untrained;
-  EXPECT_THROW((void)untrained.predictBatch(words, probs), std::logic_error);
-  std::array<double, 10> small{};
-  EXPECT_THROW((void)forest.predictBatch(words, small),
-               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------
@@ -464,7 +433,7 @@ TEST(PackedPredictorTest, AvpeUsesIntegerMagnitude) {
     trace.push_back(rec);
   }
   oisa::predict::PredictorParams params;
-  params.model = oisa::predict::ModelKind::Majority;
+  params.forest = oisa::testing::majorityParams();
   BitLevelPredictor predictor(width, params);
   predictor.fit(trace);
   const auto eval = predictor.evaluate(trace);

@@ -13,12 +13,14 @@
 #include "predict/bit_predictor.h"
 #include "predict/features.h"
 
+#include "differential_harness.h"
+
 namespace {
 
 using oisa::core::StatusCode;
 using oisa::predict::BitLevelPredictor;
 using oisa::predict::FeatureExtractor;
-using oisa::predict::ModelKind;
+using oisa::ml::ForestParams;
 using oisa::predict::PredictedFlips;
 using oisa::predict::PredictorParams;
 using oisa::predict::Trace;
@@ -146,7 +148,7 @@ TEST(BitPredictorTest, MispredictedMsbInflatesAvpeNotAbper) {
     trace.push_back(makeRecord(a, b, gold, silver));
   }
   PredictorParams params;
-  params.model = ModelKind::Majority;
+  params.forest = oisa::testing::majorityParams();
   BitLevelPredictor predictor(8, params);
   predictor.fit(trace);
   const auto eval = predictor.evaluate(trace);
@@ -156,19 +158,19 @@ TEST(BitPredictorTest, MispredictedMsbInflatesAvpeNotAbper) {
   EXPECT_GT(eval.avpe, 10.0 * eval.abper);
 }
 
-TEST(BitPredictorTest, ModelKindsAreOrderedOnLearnableData) {
+TEST(BitPredictorTest, AblationKindsAreOrderedOnLearnableData) {
   const Trace train = deterministicTrace(4000, 61);
   const Trace test = deterministicTrace(2000, 67);
-  auto abperOf = [&](ModelKind kind) {
+  auto abperOf = [&](const ForestParams& forest) {
     PredictorParams params;
-    params.model = kind;
+    params.forest = forest;
     BitLevelPredictor predictor(4, params);
     predictor.fit(train);
     return predictor.evaluate(test).abper;
   };
-  const double rf = abperOf(ModelKind::RandomForest);
-  const double dt = abperOf(ModelKind::DecisionTree);
-  const double mj = abperOf(ModelKind::Majority);
+  const double rf = abperOf(ForestParams{});
+  const double dt = abperOf(oisa::testing::decisionTreeParams());
+  const double mj = abperOf(oisa::testing::majorityParams());
   // The rule is learnable: both tree models beat the majority baseline.
   EXPECT_LT(rf, mj);
   EXPECT_LT(dt, mj);
@@ -184,21 +186,24 @@ TEST(BitPredictorTest, GuardsAgainstMisuse) {
   EXPECT_THROW((void)predictor.predictFlips(a, b), std::logic_error);
 }
 
-TEST(BitPredictorTest, SaveRejectsNonForestModels) {
-  // Only a trained RandomForest bank has flat arrays to persist; any
-  // other bank is refused before the file is created.
+TEST(BitPredictorTest, SaveRejectsOnlyUntrainedBanks) {
+  // An untrained bank has no arrays to persist and is refused before the
+  // file is created; every trained kind, the majority baseline included,
+  // is one flat bank and persists.
   const std::string path = (std::filesystem::temp_directory_path() /
                             "oisa_predictor_test_rejected.ffb")
                                .string();
   std::filesystem::remove(path);
-  PredictorParams params;
-  params.model = ModelKind::Majority;
-  BitLevelPredictor predictor(4, params);
-  predictor.fit(deterministicTrace(100, 79));
-  EXPECT_EQ(predictor.saveFlat(path).code(), StatusCode::InvalidInput);
   const BitLevelPredictor untrained(4);
   EXPECT_EQ(untrained.saveFlat(path).code(), StatusCode::InvalidInput);
   EXPECT_FALSE(std::filesystem::exists(path));
+  PredictorParams params;
+  params.forest = oisa::testing::majorityParams();
+  BitLevelPredictor predictor(4, params);
+  predictor.fit(deterministicTrace(100, 79));
+  EXPECT_TRUE(predictor.saveFlat(path).isOk());
+  EXPECT_TRUE(std::filesystem::exists(path));
+  std::filesystem::remove(path);
 }
 
 TEST(BitPredictorTest, FeatureImportanceHighlightsCausalInputs) {
