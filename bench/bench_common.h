@@ -56,15 +56,32 @@ inline void applyRobustnessOptions(const experiments::ArgParser& args,
   run.progress = args.getBool("progress", false);
 }
 
-/// Model persistence flags of the prediction benches (fig7/fig8):
+/// The prediction flags shared by fig7 and fig8 (both run
+/// runPredictionEvaluation):
+///   --train-cycles=N   training cycles per cell (default 6000)
+///   --test-cycles=N    held-out cycles per cell (default 3000)
+///   --seed=S           workload seed (default 42)
+///   --trees=T          trees per bit forest (default 10; 0 is rejected)
+///   --depth=D          tree depth cap in [0, kStackedTreeDepth]
+///                      (default `defaultDepth`, the CLI's own)
 ///   --model-out=base   after fitting, save each cell's flat bank as
 ///                      binary envelope v2 at <base>.<design>.cpr<N>.ffb
 ///   --model-in=base    mmap-load each cell's bank from the same scheme
 ///                      instead of collecting a training trace — rows
 ///                      (and CSVs) are byte-identical to the trained run
-/// Both forward to shard workers: every worker owns its cells' banks.
-inline void applyModelOptions(const experiments::ArgParser& args,
-                              experiments::PredictionOptions& options) {
+/// The model flags forward to shard workers: every worker owns its
+/// cells' banks.
+inline void applyPredictionOptions(const experiments::ArgParser& args,
+                                   experiments::PredictionOptions& options,
+                                   int defaultDepth) {
+  options.trainCycles = args.getU64("train-cycles", 6000);
+  options.testCycles = args.getU64("test-cycles", 3000);
+  options.run.seed = args.getU64("seed", 42);
+  options.predictor.forest.treeCount = args.getPositiveU64("trees", 10);
+  options.predictor.forest.tree.maxDepth =
+      static_cast<int>(args.getU64InRange(
+          "depth", static_cast<std::uint64_t>(defaultDepth), 0,
+          ml::kStackedTreeDepth));
   options.modelOut = args.getString("model-out", "");
   options.modelIn = args.getString("model-in", "");
 }

@@ -21,15 +21,9 @@ int main(int argc, char** argv) {
   const auto designs = bench::synthesizeAll(args);
 
   experiments::PredictionOptions options;
-  options.trainCycles = args.getU64("train-cycles", 6000);
-  options.testCycles = args.getU64("test-cycles", 3000);
-  options.run.seed = args.getU64("seed", 42);
+  bench::applyPredictionOptions(args, options, /*defaultDepth=*/10);
   options.run.threads = bench::threadsOption(args);
   bench::applyRobustnessOptions(args, options.run);
-  options.predictor.forest.treeCount = args.getPositiveU64("trees", 10);
-  options.predictor.forest.tree.maxDepth = static_cast<int>(
-      args.getU64InRange("depth", 10, 0, ml::kStackedTreeDepth));
-  bench::applyModelOptions(args, options);
   const auto shard = bench::setupSharding(
       args, argv[0], options.run,
       designs.size() * bench::paperCprs().size());

@@ -4,7 +4,7 @@
 // compared against the real overclocked output.
 //
 // Usage: fig8_avpe [--train-cycles=N] [--test-cycles=N] [--trees=T]
-//                  [--seed=S] [--relax] [--threads=N] [--checkpoint=path]
+//                  [--depth=D] [--seed=S] [--relax] [--threads=N] [--checkpoint=path]
 //                  [--resume] [--checkpoint-every=N] [--retries=N]
 //                  [--deadline=S] [--progress] [--shards=N]
 //                  [--shard-strikes=K] [--shard-timeout=S] [--csv=path]
@@ -22,13 +22,10 @@ int main(int argc, char** argv) {
   const auto designs = bench::synthesizeAll(args);
 
   experiments::PredictionOptions options;
-  options.trainCycles = args.getU64("train-cycles", 6000);
-  options.testCycles = args.getU64("test-cycles", 3000);
-  options.run.seed = args.getU64("seed", 42);
+  // Depth 12, the TreeParams default this figure has always trained at.
+  bench::applyPredictionOptions(args, options, /*defaultDepth=*/12);
   options.run.threads = bench::threadsOption(args);
   bench::applyRobustnessOptions(args, options.run);
-  options.predictor.forest.treeCount = args.getPositiveU64("trees", 10);
-  bench::applyModelOptions(args, options);
   const auto shard = bench::setupSharding(
       args, argv[0], options.run,
       designs.size() * bench::paperCprs().size());

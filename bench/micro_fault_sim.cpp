@@ -25,6 +25,7 @@
 #include "fault/coverage.h"
 #include "fault/fault_universe.h"
 #include "fault/ppsfp.h"
+#include "fault/ppsfp_dispatch.h"
 #include "fault/serial_fault_sim.h"
 #include "netlist/compiled_netlist.h"
 #include "timing/cell_library.h"
@@ -162,7 +163,9 @@ int main(int argc, char** argv) {
   fault::CoverageOptions coverage;
   coverage.patterns = patterns;
   coverage.seed = 7;
-  const auto cov = fault::runRandomCoverage(universe, engine, coverage);
+  const auto covEngine =
+      fault::makePpsfpEngine(compiled, {64, netlist::LaneArch::Portable});
+  const auto cov = fault::runRandomCoverage(universe, *covEngine, coverage);
   std::cout << "random-pattern coverage: " << cov.detectedClasses << " / "
             << cov.collapsedClasses << " classes ("
             << cov.coverage() * 100.0 << "% after " << cov.patternsApplied

@@ -13,7 +13,7 @@
 
 #include "fault/coverage.h"
 #include "fault/fault_universe.h"
-#include "fault/ppsfp.h"
+#include "fault/ppsfp_dispatch.h"
 #include "fault/serial_fault_sim.h"
 #include "fault/timed_fault.h"
 #include "netlist/bench_io.h"
@@ -63,12 +63,13 @@ int main() {
 
   // 3. Exhaustive coverage: c17 has 5 inputs, so all 32 patterns fit in
   // half of one 64-lane block.
-  fault::PpsfpEngine engine(compiled);
+  const auto engine =
+      fault::makePpsfpEngine(compiled, {64, netlist::LaneArch::Portable});
   fault::CoverageOptions options;
   options.patterns = 32;
   bool served = false;
   const auto coverage = fault::runCoverage(
-      universe, engine, options,
+      universe, *engine, options,
       [&](std::span<std::uint64_t> words) -> std::size_t {
         if (served) return 0;
         served = true;
@@ -96,8 +97,9 @@ int main() {
   for (std::uint64_t p = 0; p < 32; ++p) {
     for (std::size_t i = 0; i < 5; ++i) words[i] |= ((p >> i) & 1u) << p;
   }
-  engine.loadPatterns(words, 32);
-  const std::uint64_t lanes = engine.detectLanes(sample);
+  engine->loadPatterns(words, 32);
+  std::uint64_t lanes = 0;
+  engine->detectLanesInto(sample, std::span(&lanes, 1));
   std::cout << "fault " << fault::describeFault(*compiled, sample)
             << " is detected by " << std::popcount(lanes)
             << " of 32 exhaustive patterns\n\n";

@@ -54,9 +54,20 @@ class PayloadWriter {
   void f64(double v);
   void str(std::string_view v);  ///< length-prefixed
 
+  /// Writes each field in argument order — the call a row's field list
+  /// makes (std::string as str, double as f64, std::uint64_t as u64).
+  template <class... Fields>
+  void operator()(const Fields&... fields) {
+    (put(fields), ...);
+  }
+
   [[nodiscard]] std::string take() { return std::move(bytes_); }
 
  private:
+  void put(const std::string& v) { str(v); }
+  void put(double v) { f64(v); }
+  void put(std::uint64_t v) { u64(v); }
+
   std::string bytes_;
 };
 
@@ -73,11 +84,21 @@ class PayloadReader {
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
 
+  /// Reads each field in argument order; the mirror of
+  /// PayloadWriter::operator(), so one field list serves both.
+  template <class... Fields>
+  void operator()(Fields&... fields) {
+    (get(fields), ...);
+  }
+
   [[nodiscard]] bool ok() const noexcept { return ok_; }
   [[nodiscard]] bool atEnd() const noexcept { return pos_ == bytes_.size(); }
 
  private:
   bool take(std::size_t n, const char** out);
+  void get(std::string& v) { v = str(); }
+  void get(double& v) { v = f64(); }
+  void get(std::uint64_t& v) { v = u64(); }
 
   std::string_view bytes_;
   std::size_t pos_ = 0;
@@ -181,8 +202,9 @@ struct CheckpointOptions {
 
 /// Thread-safe campaign adapter: resume-loads on construction, streams
 /// completed cells in, autosaves every N new cells, and persists partial
-/// results when the grid dies (the pipelines call finish() on the error
-/// path too).
+/// results when the grid dies. Its one user is the campaign driver
+/// (experiments::runCampaignGrid in runner.h), which calls finish() on
+/// the error path too.
 class CampaignCheckpoint {
  public:
   CampaignCheckpoint(const CheckpointOptions& options,

@@ -58,10 +58,21 @@ struct FaultScanRow {
   double eJointShift = 0.0;         ///< faulty - healthy
   double worstRelJointFaulty = 0.0; ///< worst sampled defect's E_joint RMS
   std::uint64_t timedFaultsMeasured = 0;
+
+  /// Checkpoint payload fields, in on-disk order.
+  template <class Row, class Codec>
+  static void fields(Row& row, Codec& codec) {
+    codec(row.design, row.universeFaults, row.collapsedClasses,
+          row.detectedClasses, row.coveragePercent, row.patterns,
+          row.cprPercent, row.periodNs, row.rmsRelJointHealthy,
+          row.rmsRelJointFaulty, row.eJointShift, row.worstRelJointFaulty,
+          row.timedFaultsMeasured);
+  }
 };
 
-/// Runs the scan over every design; one row per design, grid-scheduled
-/// like the other experiment sweeps (bit-identical at any thread count).
+/// Runs the scan over every design; one row per design, through the same
+/// checkpointed campaign driver as the other experiment sweeps
+/// (runCampaignGrid; bit-identical at any thread count, resumable).
 /// Throws std::invalid_argument for a design that does not follow the
 /// adder port convention (TraceCollector's check).
 [[nodiscard]] std::vector<FaultScanRow> runFaultErrorScan(

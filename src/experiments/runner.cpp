@@ -1,7 +1,6 @@
 #include "experiments/runner.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -12,10 +11,9 @@
 #include "core/bit_distribution.h"
 #include "core/fault_inject.h"
 #include "core/isa_adder.h"
+#include "experiments/fault_scan.h"
 #include "experiments/grid_scheduler.h"
 #include "experiments/trace_collector.h"
-#include "netlist/batch_evaluator.h"
-#include "netlist/bitops.h"
 #include "netlist/lane_width.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -60,73 +58,10 @@ CampaignFingerprint baseFingerprint(
   return fp;
 }
 
-// --- checkpoint payload codecs -----------------------------------------
-// Doubles travel as bit patterns (PayloadWriter::f64), so a resumed row
-// is byte-for-byte the row the interrupted run computed.
-
-std::string encodeCombinationRow(const CombinationRow& row) {
-  PayloadWriter w;
-  w.str(row.design);
-  w.f64(row.cprPercent);
-  w.f64(row.periodNs);
-  w.f64(row.rmsRelStruct);
-  w.f64(row.rmsRelTiming);
-  w.f64(row.rmsRelJoint);
-  w.f64(row.meanAbsJointArith);
-  w.f64(row.structErrorRate);
-  w.f64(row.timingErrorRate);
-  w.u64(row.cycles);
-  return w.take();
-}
-
-std::optional<CombinationRow> decodeCombinationRow(
-    const std::string& payload) {
-  PayloadReader r{payload};
-  CombinationRow row;
-  row.design = r.str();
-  row.cprPercent = r.f64();
-  row.periodNs = r.f64();
-  row.rmsRelStruct = r.f64();
-  row.rmsRelTiming = r.f64();
-  row.rmsRelJoint = r.f64();
-  row.meanAbsJointArith = r.f64();
-  row.structErrorRate = r.f64();
-  row.timingErrorRate = r.f64();
-  row.cycles = r.u64();
-  if (!r.ok() || !r.atEnd()) return std::nullopt;
-  return row;
-}
-
-std::string encodePredictionRow(const PredictionRow& row) {
-  PayloadWriter w;
-  w.str(row.design);
-  w.f64(row.cprPercent);
-  w.f64(row.periodNs);
-  w.f64(row.abper);
-  w.f64(row.avpe);
-  w.u64(row.trainCycles);
-  w.u64(row.testCycles);
-  return w.take();
-}
-
-std::optional<PredictionRow> decodePredictionRow(const std::string& payload) {
-  PayloadReader r{payload};
-  PredictionRow row;
-  row.design = r.str();
-  row.cprPercent = r.f64();
-  row.periodNs = r.f64();
-  row.abper = r.f64();
-  row.avpe = r.f64();
-  row.trainCycles = r.u64();
-  row.testCycles = r.u64();
-  if (!r.ok() || !r.atEnd()) return std::nullopt;
-  return row;
-}
-
-}  // namespace
-
-void runCampaignGrid(std::size_t count, const RunOptions& options,
-                     const std::function<void(std::size_t)>& task) {
+/// Fans task(0..count-1) across the grid pool under the RunOptions
+/// policy; runCampaignGrid's scheduling half (see runner.h).
+void runGrid(std::size_t count, const RunOptions& options,
+             const std::function<void(std::size_t)>& task) {
   // A malformed OISA_FORCE_LANE_WIDTH is one configuration error, not one
   // failure per cell: resolve it before any cell is claimed.
   try {
@@ -185,31 +120,59 @@ void runCampaignGrid(std::size_t count, const RunOptions& options,
   pool.run(count, wrapped, policy);
 }
 
-std::vector<CombinationRow> runErrorCombination(
-    const std::vector<circuits::SynthesizedDesign>& designs,
-    std::span<const double> cprPercents, const RunOptions& options) {
-  const std::size_t points = designs.size() * cprPercents.size();
-  std::vector<CombinationRow> rows(points);
-  CampaignCheckpoint ckpt(
-      options.checkpoint,
-      baseFingerprint("runErrorCombination", designs, cprPercents, options)
-          .digest(),
-      points);
-  const auto sweep = [&](std::size_t point) {
-    const circuits::SynthesizedDesign& design =
-        designs[point / cprPercents.size()];
-    const double cpr = cprPercents[point % cprPercents.size()];
-    if (const auto payload = ckpt.tryLoad(point)) {
-      if (auto row = decodeCombinationRow(*payload)) {
-        rows[point] = *std::move(row);
+}  // namespace
+
+template <class Row>
+std::vector<Row> runCampaignGrid(
+    std::size_t cells, const RunOptions& run,
+    const CampaignFingerprint& fingerprint,
+    const std::function<Row(std::size_t)>& compute) {
+  std::vector<Row> rows(cells);
+  CampaignCheckpoint ckpt(run.checkpoint, fingerprint.digest(), cells);
+  const auto cell = [&](std::size_t c) {
+    if (const auto payload = ckpt.tryLoad(c)) {
+      PayloadReader reader{*payload};
+      Row row;
+      Row::fields(row, reader);
+      if (reader.ok() && reader.atEnd()) {
+        rows[c] = std::move(row);
         return;
       }
     }
-    // Injection site sits *after* the resume fast path, so a plan like
-    // "grid.cell:*" makes any recomputation fail — resuming a complete
-    // checkpoint under it proves cells were loaded, not recomputed.
     core::fault_inject::maybeThrow(core::fault_inject::kGridCell,
                                    core::StatusCode::IoError);
+    rows[c] = compute(c);
+    PayloadWriter writer;
+    Row::fields(rows[c], writer);
+    ckpt.commit(c, writer.take());
+  };
+  try {
+    runGrid(cells, run, cell);
+  } catch (...) {
+    (void)ckpt.finish();  // persist the surviving cells before surfacing
+    throw;
+  }
+  (void)ckpt.finish();
+  return rows;
+}
+
+template std::vector<CombinationRow> runCampaignGrid(
+    std::size_t, const RunOptions&, const CampaignFingerprint&,
+    const std::function<CombinationRow(std::size_t)>&);
+template std::vector<PredictionRow> runCampaignGrid(
+    std::size_t, const RunOptions&, const CampaignFingerprint&,
+    const std::function<PredictionRow(std::size_t)>&);
+template std::vector<FaultScanRow> runCampaignGrid(
+    std::size_t, const RunOptions&, const CampaignFingerprint&,
+    const std::function<FaultScanRow(std::size_t)>&);
+
+std::vector<CombinationRow> runErrorCombination(
+    const std::vector<circuits::SynthesizedDesign>& designs,
+    std::span<const double> cprPercents, const RunOptions& options) {
+  const auto cell = [&](std::size_t point) {
+    const circuits::SynthesizedDesign& design =
+        designs[point / cprPercents.size()];
+    const double cpr = cprPercents[point % cprPercents.size()];
     const double period = overclockedPeriodNs(options.signOffPeriodNs, cpr);
     // Same workload seed across designs and CPRs so every design sees the
     // same stimulus, as in the paper's common random sample. The lane
@@ -237,24 +200,17 @@ std::vector<CombinationRow> runErrorCombination(
     row.structErrorRate = combo.arithStruct().errorRate();
     row.timingErrorRate = combo.arithTiming().errorRate();
     row.cycles = combo.cycles();
-    ckpt.commit(point, encodeCombinationRow(row));
-    rows[point] = std::move(row);
+    return row;
   };
-  try {
-    runCampaignGrid(points, options, sweep);
-  } catch (...) {
-    (void)ckpt.finish();  // persist the surviving cells before surfacing
-    throw;
-  }
-  (void)ckpt.finish();
-  return rows;
+  return runCampaignGrid<CombinationRow>(
+      designs.size() * cprPercents.size(), options,
+      baseFingerprint("runErrorCombination", designs, cprPercents, options),
+      cell);
 }
 
 std::vector<PredictionRow> runPredictionEvaluation(
     const std::vector<circuits::SynthesizedDesign>& designs,
     std::span<const double> cprPercents, const PredictionOptions& options) {
-  const std::size_t points = designs.size() * cprPercents.size();
-  std::vector<PredictionRow> rows(points);
   CampaignFingerprint fp = baseFingerprint("runPredictionEvaluation", designs,
                                            cprPercents, options.run);
   fp.mix(options.trainCycles);
@@ -271,19 +227,10 @@ std::vector<PredictionRow> runPredictionEvaluation(
   fp.mix(static_cast<std::uint64_t>(forest.tree.minSamplesSplit));
   fp.mix(static_cast<std::uint64_t>(forest.tree.minSamplesLeaf));
   fp.mix(static_cast<std::uint64_t>(forest.tree.featuresPerSplit));
-  CampaignCheckpoint ckpt(options.run.checkpoint, fp.digest(), points);
-  const auto sweep = [&](std::size_t point) {
+  const auto cell = [&](std::size_t point) {
     const circuits::SynthesizedDesign& design =
         designs[point / cprPercents.size()];
     const double cpr = cprPercents[point % cprPercents.size()];
-    if (const auto payload = ckpt.tryLoad(point)) {
-      if (auto row = decodePredictionRow(*payload)) {
-        rows[point] = *std::move(row);
-        return;
-      }
-    }
-    core::fault_inject::maybeThrow(core::fault_inject::kGridCell,
-                                   core::StatusCode::IoError);
     const double period =
         overclockedPeriodNs(options.run.signOffPeriodNs, cpr);
     // Train and test stimuli come from differently-seeded streams. One
@@ -338,17 +285,10 @@ std::vector<PredictionRow> runPredictionEvaluation(
     row.avpe = eval.avpe;
     row.trainCycles = options.trainCycles;
     row.testCycles = eval.cycles;
-    ckpt.commit(point, encodePredictionRow(row));
-    rows[point] = std::move(row);
+    return row;
   };
-  try {
-    runCampaignGrid(points, options.run, sweep);
-  } catch (...) {
-    (void)ckpt.finish();
-    throw;
-  }
-  (void)ckpt.finish();
-  return rows;
+  return runCampaignGrid<PredictionRow>(designs.size() * cprPercents.size(),
+                                        options.run, fp, cell);
 }
 
 BitDistributionResult runBitDistribution(
@@ -397,77 +337,6 @@ BitDistributionResult runBitDistribution(
   }
   result.timingRate = timing.rates();
   return result;
-}
-
-std::vector<FunctionalScanRow> runFunctionalErrorScan(
-    const std::vector<circuits::SynthesizedDesign>& designs,
-    const RunOptions& options) {
-  constexpr std::size_t kLanes = netlist::BatchEvaluator::kLanes;
-  std::vector<FunctionalScanRow> rows(designs.size());
-  runCampaignGrid(designs.size(), options, [&](std::size_t d) {
-    const circuits::SynthesizedDesign& design = designs[d];
-    const int width = design.config.width;
-    const core::IsaAdder behavioral(design.config);
-    const netlist::BatchEvaluator eval(design.netlist);
-    auto workload = workloadFor(options, width, 0);
-
-    // Port convention (circuits::buildIsaNetlist): inputs a0..aN-1,
-    // b0..bN-1, cin; outputs s0..sN-1, cout.
-    const std::size_t inputCount = design.netlist.primaryInputs().size();
-    std::vector<std::uint64_t> inWords(inputCount, 0);
-    std::vector<std::uint64_t> values;
-    std::array<std::uint64_t, kLanes> sM{};
-    std::array<Stimulus, kLanes> stims{};
-
-    FunctionalScanRow row;
-    row.design = design.config.name();
-    core::ErrorStats arith;
-    core::ErrorStats rel;
-    const auto pos = design.netlist.primaryOutputs();
-
-    std::uint64_t remaining = options.cycles;
-    while (remaining > 0) {
-      const std::size_t lanes =
-          static_cast<std::size_t>(std::min<std::uint64_t>(kLanes, remaining));
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        stims[lane] = workload->next();
-      }
-      packStimulusBlock(std::span(stims.data(), lanes), width, inWords);
-
-      eval.evaluateInto(inWords, values);
-      for (int i = 0; i < width; ++i) {
-        sM[static_cast<std::size_t>(i)] =
-            values[pos[static_cast<std::size_t>(i)].value];
-      }
-      std::fill(sM.begin() + width, sM.end(), 0);
-      const std::uint64_t coutWord =
-          values[pos[static_cast<std::size_t>(width)].value];
-      netlist::transpose64(sM);
-
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        const Stimulus& s = stims[lane];
-        std::uint64_t silver = sM[lane];
-        if (width < 64 && ((coutWord >> lane) & 1u) != 0) {
-          silver |= std::uint64_t{1} << width;
-        }
-        const std::uint64_t gold =
-            behavioral.add(s.a, s.b, s.carryIn).value(width);
-        const std::uint64_t diamond =
-            behavioral.exactAdd(s.a, s.b, s.carryIn).value(width);
-        if (silver != gold) row.matchesBehavioral = false;
-        const double err = core::signedErrorAsDouble(silver, diamond);
-        arith.add(err);
-        if (diamond != 0) rel.add(err / static_cast<double>(diamond));
-      }
-      remaining -= lanes;
-    }
-    row.samples = arith.count();
-    row.structErrorRate = arith.errorRate();
-    row.rmsRelStruct = rel.rms();
-    row.meanStruct = arith.mean();
-    rows[d] = std::move(row);
-  });
-  return rows;
 }
 
 }  // namespace oisa::experiments

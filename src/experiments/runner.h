@@ -1,14 +1,21 @@
 // oisa_experiments: end-to-end experiment pipelines for the paper's
 // evaluation section. One function per figure; bench binaries are thin
 // wrappers around these so tests can exercise the same code paths.
+//
+// Every grid pipeline (Fig. 7/8 prediction, Fig. 9 error combination and
+// the defect scan in fault_scan.h) runs its cells through one driver,
+// runCampaignGrid<Row>: it owns the checkpoint (resume, the "grid.cell"
+// fault site, commit, the final save on both paths) and the grid
+// scheduling, so a pipeline only says how one cell is computed. Each row
+// type lists its payload fields once, in a static fields() that both
+// the checkpoint writer and reader visit.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
-
-#include <functional>
 
 #include "circuits/synthesis.h"
 #include "core/error_model.h"
@@ -70,6 +77,14 @@ struct CombinationRow {
   double structErrorRate = 0.0;
   double timingErrorRate = 0.0;
   std::uint64_t cycles = 0;
+
+  /// Checkpoint payload fields, in on-disk order.
+  template <class Row, class Codec>
+  static void fields(Row& row, Codec& codec) {
+    codec(row.design, row.cprPercent, row.periodNs, row.rmsRelStruct,
+          row.rmsRelTiming, row.rmsRelJoint, row.meanAbsJointArith,
+          row.structErrorRate, row.timingErrorRate, row.cycles);
+  }
 };
 
 /// Fig. 9: structural/timing/joint relative-error RMS per design per CPR.
@@ -86,6 +101,13 @@ struct PredictionRow {
   double avpe = 0.0;
   std::uint64_t trainCycles = 0;
   std::uint64_t testCycles = 0;
+
+  /// Checkpoint payload fields, in on-disk order.
+  template <class Row, class Codec>
+  static void fields(Row& row, Codec& codec) {
+    codec(row.design, row.cprPercent, row.periodNs, row.abper, row.avpe,
+          row.trainCycles, row.testCycles);
+  }
 };
 
 /// Extra controls for the prediction study.
@@ -123,38 +145,34 @@ struct BitDistributionResult {
     const circuits::SynthesizedDesign& design, double cprPercent,
     const RunOptions& options);
 
-/// One design row of the functional (zero-delay) structural-error scan.
-struct FunctionalScanRow {
-  std::string design;
-  std::uint64_t samples = 0;
-  double structErrorRate = 0.0;  ///< P(E_struct != 0), gate level
-  double rmsRelStruct = 0.0;     ///< RMS of E_struct / y_diamond
-  double meanStruct = 0.0;       ///< mean signed E_struct
-  /// Netlist output == behavioral y_gold on every sample (golden-model
-  /// cross-check riding along with the scan for free).
-  bool matchesBehavioral = true;
-};
-
-/// Gate-level structural-error characterization with no timing involved:
-/// drives each design's synthesized netlist with the workload through the
-/// word-parallel BatchEvaluator, 64 stimuli per topological sweep. This is
-/// the default engine for structural-only metrics — per-pattern netlist
-/// evaluation is reserved for the timed (overclocked) pipelines above,
-/// where event ordering matters.
-[[nodiscard]] std::vector<FunctionalScanRow> runFunctionalErrorScan(
-    const std::vector<circuits::SynthesizedDesign>& designs,
-    const RunOptions& options);
-
-/// Fans task(0..count-1) across a GridScheduler pool sized to the owned
-/// cells, applying the RunOptions failure policy (retry/backoff,
-/// deadline), shard-slice filtering, and progress/heartbeat monitoring.
-/// Every campaign pipeline's grid loop goes through here, which is what
-/// makes sharded and unsharded runs byte-identical: the only difference
-/// is which cells the slice owns. Honors the OISA_ABORT_ON_CELL=<cell>
-/// environment hook (deterministic poison-cell crash for quarantine
-/// tests). A malformed OISA_FORCE_LANE_WIDTH throws one
-/// core::StatusError(InvalidInput) before any cell runs.
-void runCampaignGrid(std::size_t count, const RunOptions& options,
-                     const std::function<void(std::size_t)>& task);
+/// The campaign driver: computes rows[c] = compute(c) for every cell c
+/// this run owns and returns the rows (cells a shard slice does not own,
+/// or quarantines, stay default-constructed).
+///
+/// Checkpointing (run.checkpoint): a cell the resumed snapshot holds is
+/// decoded through Row::fields and not recomputed; a payload that does
+/// not decode is recomputed. The "grid.cell" fault site sits after that
+/// resume fast path, so the plan "grid.cell:*" fails any recomputation
+/// and resuming a complete snapshot under it proves nothing was
+/// recomputed. Each computed row is committed, and the snapshot is saved
+/// on success and on the error path, before the error surfaces.
+/// `fingerprint` names everything the cells depend on; a snapshot of any
+/// other campaign is ignored.
+///
+/// Scheduling: cells fan out over a GridScheduler pool sized to the owned
+/// cells, under the RunOptions failure policy (retry/backoff, deadline),
+/// shard-slice filtering and progress/heartbeat monitoring, which is what
+/// makes sharded and unsharded runs byte-identical. Honors the
+/// OISA_ABORT_ON_CELL=<cell> environment hook (deterministic poison-cell
+/// crash for quarantine tests). A malformed OISA_FORCE_LANE_WIDTH throws
+/// one core::StatusError(InvalidInput) before any cell runs.
+///
+/// Instantiated in runner.cpp for CombinationRow, PredictionRow and
+/// FaultScanRow.
+template <class Row>
+[[nodiscard]] std::vector<Row> runCampaignGrid(
+    std::size_t cells, const RunOptions& run,
+    const CampaignFingerprint& fingerprint,
+    const std::function<Row(std::size_t)>& compute);
 
 }  // namespace oisa::experiments

@@ -87,7 +87,8 @@ class SparseToggleWorkload final : public Workload {
 /// beyond `stims.size()` replicate stimulus 0 with carry-in low
 /// (don't-care lanes; callers mask them out). `inputWords` must span
 /// exactly 2*width + 1 words. The single owner of the adder port-layout
-/// assumption for lane-major pipelines (functional scan, fault scan).
+/// assumption for lane-major pipelines (the fault scan's PPSFP patterns
+/// and timed replay, via packStimulusWords).
 void packStimulusBlock(std::span<const Stimulus> stims, int width,
                        std::span<std::uint64_t> inputWords);
 

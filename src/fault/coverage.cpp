@@ -1,7 +1,6 @@
 #include "fault/coverage.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <random>
 
@@ -9,52 +8,6 @@
 #include "obs/span.h"
 
 namespace oisa::fault {
-
-namespace {
-
-/// Non-owning AnyPpsfpEngine view over a caller-held 64-lane engine, so
-/// the reference-width overloads share the generic campaign loop (and its
-/// caller keeps reading the engine's perf counters afterwards).
-class RefEngineView final : public AnyPpsfpEngine {
- public:
-  explicit RefEngineView(PpsfpEngine& engine) : engine_(engine) {}
-
-  [[nodiscard]] std::size_t lanes() const noexcept override {
-    return PpsfpEngine::kLanes;
-  }
-  [[nodiscard]] std::size_t wordsPerNet() const noexcept override {
-    return 1;
-  }
-  [[nodiscard]] netlist::LaneSelection selection() const noexcept override {
-    return {64, netlist::LaneArch::Portable};
-  }
-  void loadPatterns(std::span<const std::uint64_t> inputWords,
-                    std::size_t patternCount) override {
-    engine_.loadPatterns(inputWords, patternCount);
-  }
-  void detectLanesInto(const Fault& f,
-                       std::span<std::uint64_t> out) override {
-    engine_.detectLanesInto(f, out);
-  }
-  [[nodiscard]] std::uint64_t faultsSimulated() const noexcept override {
-    return engine_.faultsSimulated();
-  }
-  [[nodiscard]] std::uint64_t gateEvaluations() const noexcept override {
-    return engine_.gateEvaluations();
-  }
-  [[nodiscard]] std::uint64_t activationSkips() const noexcept override {
-    return engine_.activationSkips();
-  }
-  [[nodiscard]] const std::shared_ptr<const netlist::CompiledNetlist>&
-  compiled() const noexcept override {
-    return engine_.compiled();
-  }
-
- private:
-  PpsfpEngine& engine_;
-};
-
-}  // namespace
 
 CoverageResult runCoverage(const FaultUniverse& universe,
                            AnyPpsfpEngine& engine,
@@ -150,20 +103,6 @@ CoverageResult runRandomCoverage(const FaultUniverse& universe,
     return count;
   };
   return runCoverage(universe, engine, options, source);
-}
-
-CoverageResult runCoverage(const FaultUniverse& universe, PpsfpEngine& engine,
-                           const CoverageOptions& options,
-                           const PatternBlockSource& source) {
-  RefEngineView view(engine);
-  return runCoverage(universe, view, options, source);
-}
-
-CoverageResult runRandomCoverage(const FaultUniverse& universe,
-                                 PpsfpEngine& engine,
-                                 const CoverageOptions& options) {
-  RefEngineView view(engine);
-  return runRandomCoverage(universe, view, options);
 }
 
 }  // namespace oisa::fault

@@ -8,8 +8,10 @@
 // hard-fault tails). The detected set is independent of dropping; only
 // the work saved changes.
 //
-// The campaign accepts any engine width through AnyPpsfpEngine and keeps
-// its results byte-identical to the 64-lane reference: patterns stream
+// The campaign accepts any engine width through AnyPpsfpEngine (a caller
+// that wants the 64-lane reference builds it with
+// makePpsfpEngine(compiled, {64, LaneArch::Portable})) and keeps its
+// results byte-identical to that reference: patterns stream
 // through the block in sub-block-major lane order (pattern p of a block
 // sits in bit p%64 of sub-word p/64), first-detection indices are read
 // off the earliest detecting sub-word, and the applied-pattern counter
@@ -23,7 +25,6 @@
 #include <vector>
 
 #include "fault/fault_universe.h"
-#include "fault/ppsfp.h"
 #include "fault/ppsfp_dispatch.h"
 
 namespace oisa::fault {
@@ -74,16 +75,6 @@ using PatternBlockSource =
 /// the next sub-block), so any width replays the 64-lane draw sequence.
 [[nodiscard]] CoverageResult runRandomCoverage(const FaultUniverse& universe,
                                                AnyPpsfpEngine& engine,
-                                               const CoverageOptions& options);
-
-/// Reference-width overloads over a concrete 64-lane engine (the
-/// original API; all existing call sites and tests).
-[[nodiscard]] CoverageResult runCoverage(const FaultUniverse& universe,
-                                         PpsfpEngine& engine,
-                                         const CoverageOptions& options,
-                                         const PatternBlockSource& source);
-[[nodiscard]] CoverageResult runRandomCoverage(const FaultUniverse& universe,
-                                               PpsfpEngine& engine,
                                                const CoverageOptions& options);
 
 }  // namespace oisa::fault

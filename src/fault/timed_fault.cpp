@@ -1,28 +1,6 @@
 #include "fault/timed_fault.h"
 
-#include <stdexcept>
-
 namespace oisa::fault {
-
-void injectStuckAt(timing::LaneTimedSimulator& sim, const Fault& f,
-                   std::uint64_t laneMask) {
-  if (!f.isStem()) {
-    throw std::invalid_argument(
-        "injectStuckAt: branch faults are pin-level and cannot be "
-        "expressed as a net clamp; use a stem fault");
-  }
-  sim.forceNet(netlist::NetId{f.net}, laneMask, stuckWord(f.stuck));
-}
-
-void injectStuckAt(timing::AnyLaneSimulator& sim, const Fault& f,
-                   std::uint64_t laneMask) {
-  if (!f.isStem()) {
-    throw std::invalid_argument(
-        "injectStuckAt: branch faults are pin-level and cannot be "
-        "expressed as a net clamp; use a stem fault");
-  }
-  sim.forceNet(netlist::NetId{f.net}, laneMask, stuckWord(f.stuck));
-}
 
 std::vector<Fault> selectTimedFaults(std::span<const Fault> candidates,
                                      std::size_t count) {

@@ -17,6 +17,7 @@
 #include "core/isa_config.h"
 #include "core/status.h"
 #include "experiments/checkpoint.h"
+#include "experiments/fault_scan.h"
 #include "experiments/grid_scheduler.h"
 #include "experiments/runner.h"
 #include "timing/cell_library.h"
@@ -87,6 +88,33 @@ TEST(PayloadCodecTest, TruncatedReadsTripTheStickyError) {
     (void)r.str();
     EXPECT_FALSE(r.ok() && r.atEnd()) << "length " << len;
   }
+}
+
+TEST(PayloadCodecTest, FieldListMatchesExplicitCallsBothWays) {
+  // A row's fields() list drives both directions through operator(): the
+  // bytes must be those of the explicit typed calls, in argument order.
+  PayloadWriter explicitWriter;
+  explicitWriter.str("fa8");
+  explicitWriter.u64(7);
+  explicitWriter.f64(-0.0);
+  const std::string bytes = explicitWriter.take();
+
+  const std::string design = "fa8";
+  const std::uint64_t cycles = 7;
+  const double shift = -0.0;
+  PayloadWriter listWriter;
+  listWriter(design, cycles, shift);
+  EXPECT_EQ(listWriter.take(), bytes);
+
+  std::string designIn;
+  std::uint64_t cyclesIn = 0;
+  double shiftIn = 1.0;
+  PayloadReader reader(bytes);
+  reader(designIn, cyclesIn, shiftIn);
+  EXPECT_TRUE(reader.ok() && reader.atEnd());
+  EXPECT_EQ(designIn, design);
+  EXPECT_EQ(cyclesIn, cycles);
+  EXPECT_TRUE(std::signbit(shiftIn));
 }
 
 // --- fingerprint ------------------------------------------------------
@@ -489,6 +517,72 @@ TEST(ResumeEquivalenceTest, CheckpointEveryCellMatchesSparseAutosave) {
   EXPECT_EQ(readFileBytes(pathA), readFileBytes(pathB));
   std::remove(pathA.c_str());
   std::remove(pathB.c_str());
+}
+
+/// A row's checkpoint payload bytes: comparing these is comparing every
+/// field bit for bit.
+template <class Row>
+std::string rowBytes(const Row& row) {
+  PayloadWriter writer;
+  Row::fields(row, writer);
+  return writer.take();
+}
+
+TEST(ResumeEquivalenceTest, FaultScanResumesByteIdentical) {
+  const auto lib = oisa::timing::CellLibrary::generic65();
+  std::vector<oisa::circuits::SynthesizedDesign> designs;
+  for (const auto& config :
+       {oisa::core::makeIsa(4, 1, 1, 2, 16), oisa::core::makeIsa(4, 2, 1, 2, 16),
+        oisa::core::makeIsa(8, 0, 0, 4, 16)}) {
+    designs.push_back(oisa::circuits::synthesize(
+        config, lib, oisa::circuits::SynthesisOptions{}));
+  }
+  oisa::experiments::FaultScanOptions options;
+  options.run.cycles = 256;
+  options.run.seed = 3;
+  options.run.threads = 1;  // deterministic which-cell-fails mapping
+  options.timedCycles = 128;
+  options.timedFaults = 2;
+  const std::string path = tempPath("resume_fault_scan.bin");
+  std::remove(path.c_str());
+  const auto reference = oisa::experiments::runFaultErrorScan(designs, options);
+
+  // Interrupted: the first cell is committed (checkpoint every cell),
+  // every later one dies; the error path persists the survivor.
+  auto interrupted = options;
+  interrupted.run.checkpoint.path = path;
+  interrupted.run.checkpoint.everyCells = 1;
+  {
+    ScopedFaultPlan plan("grid.cell:2+");
+    EXPECT_THROW(
+        (void)oisa::experiments::runFaultErrorScan(designs, interrupted),
+        oisa::experiments::GridError);
+  }
+  {
+    const auto snapshot = GridCheckpoint::loadFrom(path);
+    ASSERT_TRUE(snapshot.isOk()) << snapshot.status().toString();
+    EXPECT_EQ(snapshot.value().completedCells(), 1u);
+  }
+
+  auto resumed = interrupted;
+  resumed.run.checkpoint.resume = true;
+  const auto rows = oisa::experiments::runFaultErrorScan(designs, resumed);
+  ASSERT_EQ(rows.size(), reference.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rowBytes(rows[i]), rowBytes(reference[i])) << rows[i].design;
+  }
+
+  // The snapshot is now complete: under grid.cell:* any recomputation
+  // fails, so success proves every cell was served from it.
+  {
+    ScopedFaultPlan plan("grid.cell:*");
+    const auto again = oisa::experiments::runFaultErrorScan(designs, resumed);
+    ASSERT_EQ(again.size(), reference.size());
+    for (std::size_t i = 0; i < again.size(); ++i) {
+      EXPECT_EQ(rowBytes(again[i]), rowBytes(reference[i])) << again[i].design;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

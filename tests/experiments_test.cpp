@@ -25,6 +25,7 @@ namespace {
 using oisa::circuits::SynthesisOptions;
 using oisa::circuits::synthesize;
 using oisa::experiments::ArgParser;
+using oisa::experiments::CombinationRow;
 using oisa::experiments::overclockedPeriodNs;
 using oisa::experiments::RunOptions;
 using oisa::experiments::Stimulus;
@@ -302,8 +303,12 @@ TEST(RunnerTest, BadLaneWidthSpecFailsOnceBeforeAnyCell) {
   RunOptions options;
   options.threads = 2;
   try {
-    oisa::experiments::runCampaignGrid(8, options,
-                                       [&](std::size_t) { ++ran; });
+    (void)oisa::experiments::runCampaignGrid<CombinationRow>(
+        8, options, oisa::experiments::CampaignFingerprint("test"),
+        [&](std::size_t) {
+          ++ran;
+          return CombinationRow{};
+        });
     ADD_FAILURE() << "expected StatusError";
   } catch (const oisa::core::StatusError& e) {
     EXPECT_EQ(e.code(), oisa::core::StatusCode::InvalidInput);

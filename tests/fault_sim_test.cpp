@@ -17,6 +17,7 @@
 #include "fault/coverage.h"
 #include "fault/fault_universe.h"
 #include "fault/ppsfp.h"
+#include "fault/ppsfp_dispatch.h"
 #include "fault/serial_fault_sim.h"
 #include "fault/timed_fault.h"
 #include "netlist/bench_io.h"
@@ -33,6 +34,7 @@ namespace {
 using oisa::fault::CoverageOptions;
 using oisa::fault::Fault;
 using oisa::fault::FaultUniverse;
+using oisa::fault::makePpsfpEngine;
 using oisa::fault::PpsfpEngine;
 using oisa::fault::SerialFaultSimulator;
 using oisa::fault::StuckAt;
@@ -43,6 +45,10 @@ using oisa::netlist::NetId;
 
 using oisa::testing::kC17;
 using oisa::testing::randomWords;
+
+/// The 64-lane reference width the coverage campaigns run at.
+constexpr oisa::netlist::LaneSelection kReference{
+    64, oisa::netlist::LaneArch::Portable};
 
 /// Harness DAG with this suite's historical 6-output shape (the seeded
 /// rng consumption, and so every netlist below, is unchanged).
@@ -235,38 +241,38 @@ TEST(CoverageTest, DroppingDoesNotChangeTheDetectedSet) {
   const Netlist nl = randomNetlist(rng, 8, 40);
   const auto compiled = CompiledNetlist::compile(nl);
   FaultUniverse universe(compiled);
-  PpsfpEngine dropEngine(compiled);
-  PpsfpEngine keepEngine(compiled);
+  const auto dropEngine = makePpsfpEngine(compiled, kReference);
+  const auto keepEngine = makePpsfpEngine(compiled, kReference);
   CoverageOptions options;
   options.patterns = 512;
   options.seed = 11;
   options.dropDetected = true;
   const auto dropped =
-      oisa::fault::runRandomCoverage(universe, dropEngine, options);
+      oisa::fault::runRandomCoverage(universe, *dropEngine, options);
   options.dropDetected = false;
   const auto kept =
-      oisa::fault::runRandomCoverage(universe, keepEngine, options);
+      oisa::fault::runRandomCoverage(universe, *keepEngine, options);
   EXPECT_EQ(dropped.detected, kept.detected);
   EXPECT_EQ(dropped.detectedClasses, kept.detectedClasses);
   EXPECT_EQ(dropped.firstDetectedAt, kept.firstDetectedAt);
   EXPECT_EQ(dropped.patternsApplied, kept.patternsApplied);
   EXPECT_GT(dropped.detectedClasses, 0u);
   // Dropping strictly saves work once anything was detected early.
-  EXPECT_LT(dropEngine.faultsSimulated(), keepEngine.faultsSimulated());
+  EXPECT_LT(dropEngine->faultsSimulated(), keepEngine->faultsSimulated());
 }
 
 TEST(CoverageTest, C17ReachesFullCoverageExhaustively) {
   const Netlist nl = oisa::netlist::readBenchString(kC17, "c17");
   const auto compiled = CompiledNetlist::compile(nl);
   FaultUniverse universe(compiled);
-  PpsfpEngine engine(compiled);
+  const auto engine = makePpsfpEngine(compiled, kReference);
   // 5 inputs: 64 random patterns all but surely include the needed ones;
   // use exhaustive stimuli via the block source for determinism.
   CoverageOptions options;
   options.patterns = 32;
   bool served = false;
   const auto result = oisa::fault::runCoverage(
-      universe, engine, options,
+      universe, *engine, options,
       [&](std::span<std::uint64_t> words) -> std::size_t {
         if (served) return 0;
         served = true;

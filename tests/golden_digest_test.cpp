@@ -7,6 +7,11 @@
 // 64-lane engines to 256/512 SIMD blocks) cannot silently drift an
 // output without tripping one of these.
 //
+// The three campaign cases also checkpoint and digest the snapshot file,
+// which pins the checkpoint format, each row's payload field list and
+// the campaign fingerprint: a snapshot written before a change must
+// still resume after it.
+//
 // The digests must hold at every forced lane width: CI re-runs this test
 // with OISA_FORCE_LANE_WIDTH=64/256/portable/512.
 //
@@ -16,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,7 +32,7 @@
 #include "experiments/runner.h"
 #include "fault/coverage.h"
 #include "fault/fault_universe.h"
-#include "fault/ppsfp.h"
+#include "fault/ppsfp_dispatch.h"
 #include "netlist/bench_io.h"
 #include "netlist/compiled_netlist.h"
 #include "sha256.h"
@@ -45,12 +52,35 @@ constexpr const char* kGoldenFaultScan =
     "537e3eb217f0477eb85d6b9160428a15e4473a55afdf18aa88e33bbb1064044b";
 constexpr const char* kGoldenC17Coverage =
     "f33d7c3e03c65a6b2a4b46ea2b9b1b643a47eb3845b26bd1566cb03e2cbce09a";
+// Checkpoint files the three campaigns above write.
+constexpr const char* kGoldenPredictionCheckpoint =
+    "54ee510e21e758753a58f52abd0bada96a73abe50816113a564655e77beae514";
+constexpr const char* kGoldenCombinationCheckpoint =
+    "2bb12b162044d8ca6c236baaf4caadee6879417ca750b29cc4f1f4666802c7e6";
+constexpr const char* kGoldenFaultScanCheckpoint =
+    "ddac7590542163c4d29e47bdafc227547ca168d8889b9a4ca167f2538e0e6892";
 
 /// Exact, locale-independent double rendering (C99 %a hexfloat).
 std::string hexd(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%a", v);
   return buf;
+}
+
+/// A fresh checkpoint path for one campaign case.
+std::string checkpointPath(const std::string& name) {
+  const std::string path = ::testing::TempDir() + "oisa_golden_" + name;
+  std::remove(path.c_str());
+  return path;
+}
+
+/// SHA-256 of the snapshot file at `path` (removed afterwards).
+std::string checkpointDigest(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  std::remove(path.c_str());
+  return sha256Hex(bytes.str());
 }
 
 /// Two small paper-style ISA designs: fast enough for Debug+ASan, deep
@@ -76,6 +106,7 @@ TEST(GoldenDigestTest, PredictionRowsMatchGolden) {
   options.run.threads = 1;
   options.trainCycles = 1200;
   options.testCycles = 600;
+  options.run.checkpoint.path = checkpointPath("prediction.ckpt");
   const double cprs[] = {5.0, 15.0};
   const auto rows =
       oisa::experiments::runPredictionEvaluation(designs, cprs, options);
@@ -89,6 +120,8 @@ TEST(GoldenDigestTest, PredictionRowsMatchGolden) {
   }
   EXPECT_EQ(sha256Hex(text), kGoldenPrediction) << "canonical text:\n"
                                                 << text;
+  EXPECT_EQ(checkpointDigest(options.run.checkpoint.path),
+            kGoldenPredictionCheckpoint);
 }
 
 TEST(GoldenDigestTest, ErrorCombinationRowsMatchGolden) {
@@ -97,6 +130,7 @@ TEST(GoldenDigestTest, ErrorCombinationRowsMatchGolden) {
   options.cycles = 1200;
   options.seed = 42;
   options.threads = 1;
+  options.checkpoint.path = checkpointPath("combination.ckpt");
   const double cprs[] = {5.0, 15.0};
   const auto rows =
       oisa::experiments::runErrorCombination(designs, cprs, options);
@@ -113,6 +147,8 @@ TEST(GoldenDigestTest, ErrorCombinationRowsMatchGolden) {
   }
   EXPECT_EQ(sha256Hex(text), kGoldenCombination) << "canonical text:\n"
                                                  << text;
+  EXPECT_EQ(checkpointDigest(options.checkpoint.path),
+            kGoldenCombinationCheckpoint);
 }
 
 TEST(GoldenDigestTest, FaultScanRowsMatchGolden) {
@@ -124,6 +160,7 @@ TEST(GoldenDigestTest, FaultScanRowsMatchGolden) {
   options.cprPercent = 15.0;
   options.timedCycles = 256;
   options.timedFaults = 3;
+  options.run.checkpoint.path = checkpointPath("fault_scan.ckpt");
   const auto rows = oisa::experiments::runFaultErrorScan(designs, options);
 
   std::string text =
@@ -141,6 +178,8 @@ TEST(GoldenDigestTest, FaultScanRowsMatchGolden) {
   }
   EXPECT_EQ(sha256Hex(text), kGoldenFaultScan) << "canonical text:\n"
                                                << text;
+  EXPECT_EQ(checkpointDigest(options.run.checkpoint.path),
+            kGoldenFaultScanCheckpoint);
 }
 
 TEST(GoldenDigestTest, C17RandomCoverageMatchesGolden) {
@@ -162,12 +201,13 @@ OUTPUT(23)
   const auto compiled = oisa::netlist::CompiledNetlist::compile(
       oisa::netlist::readBenchString(kC17, "c17"));
   oisa::fault::FaultUniverse universe(compiled);
-  oisa::fault::PpsfpEngine engine(compiled);
+  const auto engine = oisa::fault::makePpsfpEngine(
+      compiled, {64, oisa::netlist::LaneArch::Portable});
   oisa::fault::CoverageOptions options;
   options.patterns = 256;
   options.seed = 1;
   const auto result =
-      oisa::fault::runRandomCoverage(universe, engine, options);
+      oisa::fault::runRandomCoverage(universe, *engine, options);
 
   std::string text = std::to_string(result.universeFaults) + "," +
                      std::to_string(result.collapsedClasses) + "," +
